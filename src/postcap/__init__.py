@@ -30,6 +30,7 @@ from .closed_form import (
     PostABSolution,
     PostAlphaSolution,
     binary_dmc_capacity,
+    closed_form_solution,
     iid_state_example,
     mary_feedback_capacity,
     mary_output_chain,

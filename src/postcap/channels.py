@@ -1,31 +1,49 @@
 """Channel families whose state is the previous output.
 
-Each family member is described by one column-stochastic matrix per
-state, with the state set equal to the output alphabet.  Sequence-level
-channel matrices p(y^n || x^n, s0) are assembled by a block recursion on
-the first symbol: block (y1, x1) equals p(y1 | x1, s0) times the
-length-(n-1) matrix started from state y1.  The binary families also
-carry closed-form block inverses.
+Every family member is data: one column-stochastic matrix per state
+class, plus the class of each state, with the state set equal to the
+output alphabet.  Sequence-level matrices come from one block recursion
+on the first symbol: block (i, j) of the level-n matrix from state s is
+C_s[i, j] times the level-(n-1) matrix from the state named by i or j.
+With C_s = p(y | x, s) it builds the channel p(y^n || x^n, s0); with the
+inverse one-step matrices it builds the channel's inverse.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .probability import CausalKernel, SequencePmf
-from .tolerances import tolerances
+from .probability import CausalKernel, SequencePmf, _freeze
+from .tolerances import _read_key_values, tolerances
 
-# Beyond this many matrix entries the sequence kernel must be sparse.
+# Beyond this many matrix entries a sequence-level matrix must be sparse.
 DENSE_ENTRY_CAP = 2**20
+
+# One-step matrices with |det| at or below this count as singular.
+SINGULAR_DET = 1e-9
 
 
 class SingularChannelError(ValueError):
     """The sequence-level channel matrix has no inverse."""
 
 
+class _StateMatrices:
+    """A channel as data: one column-stochastic matrix per state class.
+
+    class_matrices maps the representative state of each class to its
+    matrix p(y | x, s), rows y and columns x; state_classes gives the
+    representative of every state.  Both are built on first use.
+    """
+
+    @cached_property
+    def state_classes(self):
+        return tuple(range(len(self.class_matrices)))
+
+
 @dataclass(frozen=True)
-class PostAlpha:
+class PostAlpha(_StateMatrices):
     """Binary channel: a Z channel after output 0, an S channel after output 1."""
 
     alpha: float
@@ -34,9 +52,14 @@ class PostAlpha:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
+    @cached_property
+    def class_matrices(self):
+        a = self.alpha
+        return {0: _freeze([[1.0, a], [0.0, 1.0 - a]]), 1: _freeze([[1.0 - a, 0.0], [a, 1.0]])}
+
 
 @dataclass(frozen=True)
-class PostAB:
+class PostAB(_StateMatrices):
     """Binary channel with per-state parameter pairs (a, b) and (b, a)."""
 
     a: float
@@ -46,15 +69,20 @@ class PostAB:
         if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
             raise ValueError("a and b must lie in [0, 1]")
 
+    @cached_property
+    def class_matrices(self):
+        a, b = self.a, self.b
+        return {0: _freeze([[a, 1.0 - b], [1.0 - a, b]]), 1: _freeze([[b, 1.0 - a], [1.0 - b, a]])}
+
 
 @dataclass(frozen=True)
-class MaryPost:
+class MaryPost(_StateMatrices):
     """The (m+1)-ary channel whose edges carry probability 1/2 or 1.
 
     From any state below m, an input below m is delivered intact or
     replaced by m, each with probability 1/2, while input m always
     yields m.  From state m every input below m yields m, and input m
-    resets the output to 0.
+    resets the output to 0.  The states below m form one class.
     """
 
     m: int
@@ -63,9 +91,25 @@ class MaryPost:
         if self.m < 1:
             raise ValueError("m must be a positive integer")
 
+    @cached_property
+    def state_classes(self):
+        return (0,) * self.m + (self.m,)
+
+    @cached_property
+    def class_matrices(self):
+        m = self.m
+        below = np.zeros((m + 1, m + 1))
+        below[range(m), range(m)] = 0.5
+        below[m, :m] = 0.5
+        below[m, m] = 1.0
+        top = np.zeros((m + 1, m + 1))
+        top[m, :m] = 1.0
+        top[0, m] = 1.0
+        return {0: _freeze(below), m: _freeze(top)}
+
 
 @dataclass(frozen=True)
-class CustomPost:
+class CustomPost(_StateMatrices):
     """Arbitrary per-state column-stochastic matrices; state = previous output."""
 
     state_matrices: tuple
@@ -84,75 +128,119 @@ class CustomPost:
                 raise ValueError("negative channel probability")
             if np.abs(m.sum(axis=0) - 1.0).max() > tolerances.conditional_row:
                 raise ValueError("state matrices must be column-stochastic")
-        frozen = []
-        for m in mats:
-            m = np.ascontiguousarray(m)
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "state_matrices", tuple(frozen))
+        object.__setattr__(self, "state_matrices", tuple(_freeze(m) for m in mats))
+
+    @cached_property
+    def class_matrices(self):
+        return dict(enumerate(self.state_matrices))
 
 
 def output_alphabet(spec):
-    if isinstance(spec, (PostAlpha, PostAB)):
-        return 2
-    if isinstance(spec, MaryPost):
-        return spec.m + 1
-    if isinstance(spec, CustomPost):
-        return spec.state_matrices[0].shape[0]
-    raise TypeError(f"not a channel spec: {spec!r}")
+    return len(spec.state_classes)
 
 
 def input_alphabet(spec):
-    if isinstance(spec, CustomPost):
-        return spec.state_matrices[0].shape[1]
-    return output_alphabet(spec)
+    return spec.class_matrices[spec.state_classes[0]].shape[1]
 
 
 def state_class(spec, state):
     """Canonical representative of states with identical behavior."""
-    if isinstance(spec, MaryPost) and state < spec.m:
-        return 0
-    return state
+    return spec.state_classes[state]
 
 
 def initial_states(spec):
     """Initial states worth scanning (one per behavior class)."""
-    k = output_alphabet(spec)
-    if isinstance(spec, MaryPost):
-        return (0, spec.m)
-    return tuple(range(k))
+    return tuple(sorted(set(spec.state_classes)))
 
 
 def step_kernel(spec, state):
     """One-step matrix p(y | x, state); columns indexed by x, rows by y."""
-    k = output_alphabet(spec)
-    if not 0 <= state < k:
+    if not 0 <= state < output_alphabet(spec):
         raise ValueError(f"state {state} out of range")
-    if isinstance(spec, PostAlpha):
-        a = spec.alpha
-        if state == 0:
-            return np.array([[1.0, a], [0.0, 1.0 - a]])
-        return np.array([[1.0 - a, 0.0], [a, 1.0]])
-    if isinstance(spec, PostAB):
-        a, b = spec.a, spec.b
-        if state == 0:
-            return np.array([[a, 1.0 - b], [1.0 - a, b]])
-        return np.array([[b, 1.0 - a], [1.0 - b, a]])
-    if isinstance(spec, MaryPost):
-        m = spec.m
-        out = np.zeros((k, k))
-        if state < m:
-            for x in range(m):
-                out[x, x] = 0.5
-                out[m, x] = 0.5
-            out[m, m] = 1.0
-        else:
-            out[m, :m] = 1.0
-            out[0, m] = 1.0
-        return out
-    if isinstance(spec, CustomPost):
-        return np.array(spec.state_matrices[state])
-    raise TypeError(f"not a channel spec: {spec!r}")
+    return np.array(spec.class_matrices[spec.state_classes[state]])
+
+
+def _block_matrix(coeffs, state_classes, n, target, by_column=False, sparse=False):
+    """Level-n matrix of the first-symbol block recursion from class target.
+
+    coeffs maps each class to its one-step matrix C_c.  Block (i, j) of
+    the level-l matrix of class c is C_c[i, j] times the level-(l-1)
+    matrix of the class of state i (of state j with by_column).  Each
+    level is written into one preallocated array (dense) or one set of
+    coordinate arrays (sparse); only the target class is built at the
+    top level.  A dense result above DENSE_ENTRY_CAP entries raises
+    before anything is allocated.
+    """
+    rows, cols = next(iter(coeffs.values())).shape
+    entries = rows**n * cols**n
+    if not sparse and entries > DENSE_ENTRY_CAP:
+        raise ValueError(f"dense matrix would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
+    # (i, j, C_c[i, j], class whose lower-level matrix fills block (i, j))
+    terms = {
+        cls: [
+            (i, j, mat[i, j], state_classes[j if by_column else i])
+            for i, j in np.argwhere(mat).tolist()
+        ]
+        for cls, mat in coeffs.items()
+    }
+    index = np.int32 if max(rows, cols) ** n < 2**31 else np.int64
+    zero = np.zeros(1, index)
+    one = sp.coo_array((np.ones(1), (zero, zero)), shape=(1, 1)) if sparse else np.ones((1, 1))
+    prev = dict.fromkeys(coeffs, one)
+    for level in range(1, n + 1):
+        r, c = rows ** (level - 1), cols ** (level - 1)
+        shape = (rows * r, cols * c)
+        cur = {}
+        for cls in coeffs if level < n else (target,):
+            if sparse:
+                size = sum(prev[src].nnz for *_, src in terms[cls])
+                row, col, data = np.empty(size, index), np.empty(size, index), np.empty(size)
+            else:
+                out = np.zeros(shape)
+            pos = 0
+            for i, j, w, src in terms[cls]:
+                block = prev[src]
+                if sparse:
+                    span = slice(pos, pos + block.nnz)
+                    pos += block.nnz
+                    np.add(block.row, i * r, out=row[span])
+                    np.add(block.col, j * c, out=col[span])
+                    np.multiply(w, block.data, out=data[span])
+                else:
+                    np.multiply(w, block, out=out[i * r : (i + 1) * r, j * c : (j + 1) * c])
+            cur[cls] = sp.coo_array((data, (row, col)), shape=shape) if sparse else out
+        prev = cur
+    return prev[target].tocsc() if sparse else prev[target]
+
+
+def _vector_levels(coeffs, n):
+    """Levels 1..n of the first-symbol block recursion on vectors, lazily.
+
+    coeffs has shape (k, r, k): C_s for each of the k states.  Row s of
+    level l is v_s = concat_i sum_j C_s[i, j] v_j of level l - 1, with
+    v_s = 1 at level 0; each level is one matrix product.
+    """
+    k, r, _ = coeffs.shape
+    stacked = coeffs.reshape(k * r, k)
+    levels = np.ones((k, 1))
+    for _ in range(n):
+        levels = (stacked @ levels).reshape(k, -1)
+        yield levels
+
+
+def _inverse_class_matrices(spec):
+    """Inverse one-step matrix of every class; SingularChannelError if any has none."""
+    inverses = {}
+    for cls, mat in spec.class_matrices.items():
+        if mat.shape[0] != mat.shape[1]:
+            raise SingularChannelError("only square channels have an inverse")
+        det = np.linalg.det(mat)
+        if abs(det) <= SINGULAR_DET:
+            raise SingularChannelError(
+                f"state {cls} matrix has |det| = {abs(det):.3e} <= {SINGULAR_DET:g}"
+            )
+        inverses[cls] = np.linalg.inv(mat)
+    return inverses
 
 
 @dataclass(frozen=True)
@@ -169,7 +257,7 @@ class ChannelMatrix:
         return self.kernel.is_sparse
 
 
-def build_sequence_kernel(spec, n, s0, storage="auto", dense_cap=DENSE_ENTRY_CAP):
+def build_sequence_kernel(spec, n, s0, storage="auto"):
     """Assemble p(y^n || x^n, s0) by the first-symbol block recursion."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -177,92 +265,30 @@ def build_sequence_kernel(spec, n, s0, storage="auto", dense_cap=DENSE_ENTRY_CAP
     x = input_alphabet(spec)
     if not 0 <= s0 < k:
         raise ValueError(f"initial state {s0} out of range")
-    entries = (k**n) * (x**n)
     if storage == "auto":
-        storage = "dense" if entries <= dense_cap else "sparse"
-    elif storage == "dense" and entries > dense_cap:
-        raise ValueError(f"dense kernel would hold {entries} entries (cap {dense_cap})")
+        storage = "dense" if k**n * x**n <= DENSE_ENTRY_CAP else "sparse"
     elif storage not in ("dense", "sparse"):
         raise ValueError(f"unknown storage mode {storage!r}")
-
-    classes = sorted({state_class(spec, s) for s in range(k)})
-    steps = {c: step_kernel(spec, c) for c in classes}
-    if storage == "dense":
-        prev = {c: np.ones((1, 1)) for c in classes}
-        for level in range(1, n + 1):
-            cur = {}
-            for c in classes:
-                step = steps[c]
-                rows, cols = k ** (level - 1), x ** (level - 1)
-                out = np.zeros((k**level, x**level))
-                for y1 in range(k):
-                    block = prev[state_class(spec, y1)]
-                    for x1 in range(x):
-                        w = step[y1, x1]
-                        if w:
-                            out[
-                                y1 * rows : (y1 + 1) * rows,
-                                x1 * cols : (x1 + 1) * cols,
-                            ] = w * block
-                cur[c] = out
-            prev = cur
-    else:
-        prev = {c: sp.csc_array(np.ones((1, 1))) for c in classes}
-        for level in range(1, n + 1):
-            cur = {}
-            zero = sp.csc_array((k ** (level - 1), x ** (level - 1)))
-            for c in classes:
-                step = steps[c]
-                blocks = []
-                for y1 in range(k):
-                    block = prev[state_class(spec, y1)]
-                    row = []
-                    for x1 in range(x):
-                        w = step[y1, x1]
-                        row.append(w * block if w else zero)
-                    blocks.append(row)
-                cur[c] = sp.block_array(blocks, format="csc")
-            prev = cur
-    values = prev[state_class(spec, s0)]
-    kernel = CausalKernel(k, x, n, 0, values)
-    return ChannelMatrix(spec, n, s0, kernel)
+    classes = spec.state_classes
+    values = _block_matrix(spec.class_matrices, classes, n, classes[s0], sparse=storage == "sparse")
+    return ChannelMatrix(spec, n, s0, CausalKernel(k, x, n, 0, values))
 
 
 def invert_sequence_kernel(spec, n, s0):
-    """Closed-form inverse of the sequence kernel for the binary families.
+    """Inverse of the sequence kernel of a square channel.
 
     Built by the same block recursion as the kernel itself, not by a
-    generic linear solve.
+    generic linear solve: block (x1, y1) of the inverse from state s is
+    P_s^-1[x1, y1] times the inverse from state y1.  Raises
+    SingularChannelError unless every class matrix is square with
+    |det| > SINGULAR_DET, and ValueError above DENSE_ENTRY_CAP entries.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if s0 not in (0, 1):
+    if not 0 <= s0 < output_alphabet(spec):
         raise ValueError("initial state out of range")
-    if isinstance(spec, PostAlpha):
-        alpha = spec.alpha
-        if 1.0 - alpha <= 1e-12:
-            raise SingularChannelError("alpha = 1 gives a singular channel")
-        abar = 1.0 - alpha
-        inv0 = inv1 = np.ones((1, 1))
-        for _ in range(n):
-            inv0, inv1 = (
-                np.block([[inv0, -(alpha / abar) * inv1], [np.zeros_like(inv0), inv1 / abar]]),
-                np.block([[inv0 / abar, np.zeros_like(inv0)], [-(alpha / abar) * inv0, inv1]]),
-            )
-        return inv0 if s0 == 0 else inv1
-    if isinstance(spec, PostAB):
-        a, b = spec.a, spec.b
-        det = a + b - 1.0
-        if det <= 1e-9:
-            raise SingularChannelError("a + b - 1 must exceed 1e-9")
-        inv0 = inv1 = np.ones((1, 1))
-        for _ in range(n):
-            inv0, inv1 = (
-                np.block([[b * inv0, -(1.0 - b) * inv1], [-(1.0 - a) * inv0, a * inv1]]) / det,
-                np.block([[a * inv0, -(1.0 - a) * inv1], [-(1.0 - b) * inv0, b * inv1]]) / det,
-            )
-        return inv0 if s0 == 0 else inv1
-    raise TypeError("closed-form inverse exists only for the binary families")
+    classes = spec.state_classes
+    return _block_matrix(_inverse_class_matrices(spec), classes, n, classes[s0], by_column=True)
 
 
 def induced_output_pmf(spec, n, s0, input_kernel: CausalKernel) -> SequencePmf:
@@ -299,15 +325,7 @@ def spec_to_config(spec) -> str:
 
 
 def spec_from_config(text: str):
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+    fields = _read_key_values(text)
     family = fields.pop("family", None)
     if family == "post-alpha":
         return PostAlpha(alpha=float(fields.pop("alpha")))

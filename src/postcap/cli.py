@@ -4,41 +4,34 @@ Subcommands: ``capacity`` (closed-form values with an optional numeric
 cross-check), ``table1`` (the m-ary family's capacity table), ``sweep``
 (CSV parameter sweeps for external plotting) and ``verify`` (numerical
 verification suites).  Exit codes: 0 on success, 1 on a numerical
-failure, 2 on bad usage.
+failure, 2 on bad usage, including a size or channel the library
+rejects with ValueError.
 
 Output files are deterministic: identical flags (including --seed)
-produce byte-identical bytes.  POSTCAP_THREADS caps worker threads for
-sweeps and table rows; ordering of the output never depends on it.
+produce byte-identical bytes.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha
+from .channels import MaryPost, PostAB, PostAlpha, build_sequence_kernel
 from .closed_form import (
     binary_dmc_capacity,
+    closed_form_solution,
     mary_feedback_capacity,
     mary_scheme_rate,
     post_alpha_capacity,
 )
-from .construction import (
-    feedback_policy,
-    inequality_sweep,
-    output_markov_pmf,
-    recursive_input_ab,
-    recursive_input_alpha,
-)
+from .construction import _open_loop_input, inequality_sweep, output_markov_pmf
 from .directed_info import concavity_probe
-from .channels import build_sequence_kernel
 from .optimize import OptimizerConfig, maximize_di_feedback, open_loop_match, upper_bound
 from .probability import compose_causal, random_policy
-from .tolerances import tolerances
+from .tolerances import _read_key_values, tolerances
 
 # Reference values for the m-ary channel family, used by `table1 --check`:
 # (upper bound at n=6, scheme rate, feedback capacity) per m.
@@ -58,24 +51,6 @@ TABLE1_REFERENCE = {
 CHECK_TOL_UPPER = 1.0e-3
 CHECK_TOL_RATE = 5.0e-5
 CHECK_TOL_FEEDBACK = 5.0e-4
-
-
-def _worker_count():
-    raw = os.environ.get("POSTCAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write(path, text):
@@ -104,17 +79,9 @@ def _spec_from_args(parser, args):
     parser.error(f"unknown capacity target {args.target!r}")
 
 
-def _closed_form_value(spec):
-    if isinstance(spec, PostAlpha):
-        return post_alpha_capacity(spec.alpha).capacity_bits
-    if isinstance(spec, PostAB):
-        return binary_dmc_capacity(spec.a, spec.b).capacity_bits
-    return mary_feedback_capacity(spec.m).capacity_bits
-
-
 def cmd_capacity(parser, args):
     spec = _spec_from_args(parser, args)
-    closed = _closed_form_value(spec)
+    closed = closed_form_solution(spec).capacity_bits
     print(f"capacity_bits: {closed:.6f}")
     if not args.numeric_check:
         return 0
@@ -136,18 +103,15 @@ def _table1_rows(args):
         m *= 2
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
 
-    def row(m):
-        ub = None
-        if m <= args.upper_bound_max_m:
-            ub = upper_bound(MaryPost(m), args.n, cfg)
-        return (
+    return [
+        (
             m,
-            ub,
+            upper_bound(MaryPost(m), args.n, cfg) if m <= args.upper_bound_max_m else None,
             mary_scheme_rate(m),
             mary_feedback_capacity(m).capacity_bits,
         )
-
-    return _ordered_map(row, ms)
+        for m in ms
+    ]
 
 
 def cmd_table1(parser, args):
@@ -200,14 +164,12 @@ def cmd_sweep(parser, args):
         parser.error("--points must be at least 2")
     grid = np.linspace(0.0, 1.0, args.points)
     if args.target == "alpha":
-        values = _ordered_map(lambda a: post_alpha_capacity(a).capacity_bits, list(grid))
         lines = ["alpha,capacity_bits"]
-        lines.extend(f"{a:.6f},{c:.6f}" for a, c in zip(grid, values))
+        lines.extend(f"{a:.6f},{post_alpha_capacity(a).capacity_bits:.6f}" for a in grid)
     else:
-        pairs = [(a, b) for a in grid for b in grid]
-        sols = _ordered_map(lambda ab: binary_dmc_capacity(ab[0], ab[1]), pairs)
         lines = ["a,b,capacity_bits,gamma"]
-        for (a, b), sol in zip(pairs, sols):
+        for a, b in ((a, b) for a in grid for b in grid):
+            sol = binary_dmc_capacity(a, b)
             gamma = "" if sol.degenerate else f"{sol.gamma:.6f}"
             lines.append(f"{a:.6f},{b:.6f},{sol.capacity_bits:.6f},{gamma}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -228,7 +190,7 @@ def _binary_spec(parser, args):
 
 def _verify_kkt(parser, args):
     spec = _binary_spec(parser, args)
-    closed = _closed_form_value(spec)
+    closed = closed_form_solution(spec).capacity_bits
     cfg = OptimizerConfig(max_iterations=args.max_iterations, kkt_tolerance=1e-7)
     _, value, report = maximize_di_feedback(spec, args.n, args.s0, cfg)
     return [
@@ -248,15 +210,10 @@ def _verify_kkt(parser, args):
 
 def _verify_construction(parser, args):
     spec = _binary_spec(parser, args)
-    if isinstance(spec, PostAlpha):
-        build = lambda s0: recursive_input_alpha(spec.alpha, args.n, s0)
-        delta = post_alpha_capacity(spec.alpha).output_markov_transition
-    else:
-        build = lambda s0: recursive_input_ab(spec.a, spec.b, args.n, s0)
-        delta = binary_dmc_capacity(spec.a, spec.b).output_markov_transition
+    delta = closed_form_solution(spec, markov=True).output_markov_transition
     checks = []
     for s0 in (0, 1):
-        pmf = build(s0)
+        pmf = _open_loop_input(spec, args.n, s0)
         match = open_loop_match(spec, args.n, s0)
         solve_gap = float(np.abs(pmf.values - match.input_pmf.values).max())
         chan = build_sequence_kernel(spec, args.n, s0).kernel.values
@@ -264,15 +221,9 @@ def _verify_construction(parser, args):
         markov_gap = float(np.abs(induced - output_markov_pmf(delta, args.n, s0).values).max())
         consistency_gap = 0.0
         for i in range(1, args.n):
-            shorter = (
-                recursive_input_alpha(spec.alpha, i, s0)
-                if isinstance(spec, PostAlpha)
-                else recursive_input_ab(spec.a, spec.b, i, s0)
-            )
-            consistency_gap = max(
-                consistency_gap,
-                float(np.abs(pmf.prefix_marginal(i).values - shorter.values).max()),
-            )
+            shorter = _open_loop_input(spec, i, s0).values
+            gap = float(np.abs(pmf.prefix_marginal(i).values - shorter).max())
+            consistency_gap = max(consistency_gap, gap)
         checks.extend(
             [
                 (f"s0={s0} input_valid", abs(match.total - 1.0), match.passed),
@@ -328,17 +279,11 @@ def _apply_config(parser, path):
             text = fh.read()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            parser.error(f"config line is not key=value: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        try:
+    try:
+        for key, value in _read_key_values(text).items():
             tolerances.update(**{key: float(value)})
-        except (KeyError, ValueError) as exc:
-            parser.error(f"bad config entry {raw!r}: {exc}")
+    except (KeyError, ValueError) as exc:
+        parser.error(f"bad config file {path}: {exc}")
 
 
 def build_parser():
@@ -396,17 +341,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         _apply_config(parser, args.config)
+    commands = {
+        "capacity": cmd_capacity,
+        "table1": cmd_table1,
+        "sweep": cmd_sweep,
+        "verify": cmd_verify,
+    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if args.command == "capacity":
-            return cmd_capacity(parser, args)
-        if args.command == "table1":
-            return cmd_table1(parser, args)
-        if args.command == "sweep":
-            return cmd_sweep(parser, args)
-        if args.command == "verify":
-            return cmd_verify(parser, args)
-    parser.error(f"unknown command {args.command!r}")
+        try:
+            return commands[args.command](parser, args)
+        except ValueError as exc:
+            # out-of-range sizes and states, singular channels
+            parser.error(str(exc))
 
 
 if __name__ == "__main__":

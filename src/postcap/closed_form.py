@@ -4,7 +4,8 @@ The binary families admit exact capacities, capacity-achieving pmfs and
 the transition probability of the symmetric Markov chain induced at the
 output.  The m-ary family's feedback capacity comes from a two-parameter
 stationary policy whose value we maximize on a grid with local
-refinement.
+refinement.  closed_form_solution looks up the solution of a channel
+spec, so callers need not branch on its family.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MaryPost, step_kernel
+from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError, step_kernel
 from .probability import binary_entropy
 
 DEGENERATE_EPS = 1e-9
@@ -224,3 +225,24 @@ def iid_state_example():
     no_feedback = binary_entropy(0.25) - 0.5
     feedback = binary_entropy(0.2) - 0.4
     return no_feedback, feedback
+
+
+def closed_form_solution(spec, markov=False):
+    """The closed-form solution of a named family, looked up by its spec.
+
+    PostAlpha and PostAB give capacity_bits, input_pmf and the output
+    chain's transition probability output_markov_transition; MaryPost
+    gives capacity_bits of its feedback capacity.  With markov=True the
+    feedback-optimal output law must be the symmetric binary Markov
+    chain, which rules out MaryPost and PostAB with a + b <= 1.
+    """
+    if isinstance(spec, PostAlpha):
+        return post_alpha_capacity(spec.alpha)
+    if isinstance(spec, PostAB):
+        sol = binary_dmc_capacity(spec.a, spec.b)
+        if markov and (sol.degenerate or sol.relabeled):
+            raise SingularChannelError("requires a + b > 1")
+        return sol
+    if isinstance(spec, MaryPost) and not markov:
+        return mary_feedback_capacity(spec.m)
+    raise TypeError(f"no closed form{' with a Markov output law' if markov else ''} for {spec!r}")

@@ -1,10 +1,12 @@
 """Recursive constructions and their supporting feasibility checks.
 
-The symmetric-Markov output pmf and the open-loop input pmfs of the
-binary families are built by two-block vector recursions; nonnegativity
-of the inputs is certified by locating a multiplier beta inside a set of
-closed intervals, and the inequalities backing those intervals are
-swept numerically on parameter grids.
+The symmetric-Markov output pmf q_s and the open-loop inputs
+p_s = W_s^-1 q_s of the binary families come from the channels' block
+recursion on vectors: q_s with coefficients diag T_s, p_s with
+P_s^-1 diag T_s, where T is the output chain and P_s the channel from
+state s.  Nonnegativity of the inputs is certified by locating a
+multiplier beta inside a set of closed intervals, and the inequalities
+backing those intervals are swept numerically on parameter grids.
 """
 
 import math
@@ -13,9 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha
-from .closed_form import _alpha_powers, binary_dmc_capacity, post_alpha_capacity
+from .channels import PostAB, PostAlpha, _inverse_class_matrices, _vector_levels
+from .closed_form import _alpha_powers, closed_form_solution
 from .probability import SequencePmf, StepPolicy, binary_entropy
+
+
+def _output_chain(delta):
+    """Symmetric binary output chain T[y, s] = p(y | s); column s is T_s."""
+    return np.array([[1.0 - delta, delta], [delta, 1.0 - delta]])
 
 
 def output_markov_pmf(delta, n, s0) -> SequencePmf:
@@ -24,67 +31,44 @@ def output_markov_pmf(delta, n, s0) -> SequencePmf:
         raise ValueError("delta must lie in [0, 1]")
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    p0 = p1 = np.ones(1)
-    for _ in range(n):
-        p0, p1 = (
-            np.concatenate([(1.0 - delta) * p0, delta * p1]),
-            np.concatenate([delta * p0, (1.0 - delta) * p1]),
-        )
-    return SequencePmf(2, n, p0 if s0 == 0 else p1)
+    chain = _output_chain(delta)
+    levels = np.ones((2, 1))
+    for levels in _vector_levels(np.array([np.diag(chain[:, s]) for s in (0, 1)]), n):
+        pass
+    return SequencePmf(2, n, levels[s0])
 
 
-def _recursion_chain_alpha(alpha, n):
-    """Both open-loop input chains of the Z/S family, level by level."""
-    paa, pa1 = _alpha_powers(alpha)
-    c = 1.0 / (1.0 + (1.0 - alpha) * paa)
-    p0 = p1 = np.ones(1)
-    levels = []
-    for _ in range(n):
-        p0, p1 = (
-            c * np.concatenate([p0 - pa1 * p1, paa * p1]),
-            c * np.concatenate([paa * p0, p1 - pa1 * p0]),
-        )
-        levels.append((p0, p1))
-    return levels
+def _input_levels(spec, n):
+    """Both open-loop input chains p_0, p_1 of a binary family, level by level.
+
+    Each level is a (2, 2^l) array with row s the input from state s.
+    """
+    chain = _output_chain(closed_form_solution(spec, markov=True).output_markov_transition)
+    inverses = _inverse_class_matrices(spec)
+    return _vector_levels(np.array([inverses[s] * chain[:, s] for s in (0, 1)]), n)
 
 
-def _recursion_chain_ab(a, b, n):
-    if a + b - 1.0 <= 1e-9:
-        raise ValueError("requires a + b - 1 > 1e-9")
-    gamma = 2.0 ** ((binary_entropy(b) - binary_entropy(a)) / (a + b - 1.0))
-    f = 1.0 / ((a + b - 1.0) * (gamma + 1.0))
-    abar, bbar = 1.0 - a, 1.0 - b
-    p0 = p1 = np.ones(1)
-    levels = []
-    for _ in range(n):
-        p0, p1 = (
-            f * np.concatenate([b * gamma * p0 - bbar * p1, -abar * gamma * p0 + a * p1]),
-            f * np.concatenate([a * p0 - abar * gamma * p1, -bbar * p0 + b * gamma * p1]),
-        )
-        levels.append((p0, p1))
-    return levels
+def _open_loop_input(spec, n, s0) -> SequencePmf:
+    """Open-loop input of a binary family whose output is the feedback-optimal chain."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if s0 not in (0, 1):
+        raise ValueError("s0 must be 0 or 1")
+    for levels in _input_levels(spec, n):
+        pass
+    return SequencePmf(2, n, levels[s0])
 
 
 def recursive_input_alpha(alpha, n, s0) -> SequencePmf:
     """Open-loop input whose output matches the feedback-optimal chain."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if s0 not in (0, 1):
-        raise ValueError("s0 must be 0 or 1")
-    p0, p1 = _recursion_chain_alpha(alpha, n)[-1]
-    return SequencePmf(2, n, p0 if s0 == 0 else p1)
+    return _open_loop_input(PostAlpha(alpha), n, s0)
 
 
 def recursive_input_ab(a, b, n, s0) -> SequencePmf:
     """Open-loop input for the (a, b) family; requires a + b > 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if s0 not in (0, 1):
-        raise ValueError("s0 must be 0 or 1")
-    p0, p1 = _recursion_chain_ab(a, b, n)[-1]
-    return SequencePmf(2, n, p0 if s0 == 0 else p1)
+    return _open_loop_input(PostAB(a, b), n, s0)
 
 
 def _quad_roots(lead, mid, const):
@@ -206,13 +190,7 @@ def beta_intervals_ab(a, b) -> IntervalSet:
 
 def induction_step_check(spec, beta, n, slack=1e-12) -> bool:
     """Entrywise beta-domination between the two input chains up to level n."""
-    if isinstance(spec, PostAlpha):
-        levels = _recursion_chain_alpha(spec.alpha, n)
-    elif isinstance(spec, PostAB):
-        levels = _recursion_chain_ab(spec.a, spec.b, n)
-    else:
-        raise TypeError("induction check applies to the binary families")
-    for p0, p1 in levels:
+    for p0, p1 in _input_levels(spec, n):
         if (beta * p1 - p0).min() < -slack or (beta * p0 - p1).min() < -slack:
             return False
     return True
@@ -318,15 +296,7 @@ def feedback_policy(spec, n, s0) -> StepPolicy:
     output only.  The state-1 law is the state-0 law with the input
     labels swapped.
     """
-    if isinstance(spec, PostAlpha):
-        base = post_alpha_capacity(spec.alpha).input_pmf
-    elif isinstance(spec, PostAB):
-        sol = binary_dmc_capacity(spec.a, spec.b)
-        if sol.degenerate or sol.relabeled:
-            raise ValueError("requires a + b > 1")
-        base = sol.input_pmf
-    else:
-        raise TypeError("feedback policy applies to the binary families")
+    base = closed_form_solution(spec, markov=True).input_pmf
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
     by_state = np.array([base, base[::-1]])

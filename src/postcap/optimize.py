@@ -22,16 +22,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .channels import (
-    SingularChannelError,
-    PostAB,
-    PostAlpha,
     build_sequence_kernel,
     initial_states,
     input_alphabet,
     invert_sequence_kernel,
     output_alphabet,
 )
-from .closed_form import binary_dmc_capacity, post_alpha_capacity
+from .closed_form import closed_form_solution
 from .construction import output_markov_pmf
 from .directed_info import _directed_information_arrays, directed_information
 from .probability import (
@@ -41,6 +38,7 @@ from .probability import (
     compose_causal,
     index_sequence,
     open_loop_kernel,
+    random_policy,
 )
 
 LN2 = math.log(2.0)
@@ -275,12 +273,7 @@ def _initial_kernel(spec, n, cfg):
     if cfg.initialization == "uniform":
         values = np.full((x_alph**n, y_alph ** (n - 1)), x_alph ** (-float(n)))
         return CausalKernel(x_alph, y_alph, n, 1, values)
-    rng = np.random.default_rng(cfg.seed)
-    steps = []
-    for i in range(1, n + 1):
-        raw = rng.uniform(0.05, 1.0, size=(x_alph ** (i - 1), y_alph ** (i - 1), x_alph))
-        steps.append(raw / raw.sum(axis=-1, keepdims=True))
-    return compose_causal(StepPolicy(x_alph, y_alph, n, 1, tuple(steps)))
+    return compose_causal(random_policy(x_alph, y_alph, n, 1, np.random.default_rng(cfg.seed)))
 
 
 def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
@@ -398,32 +391,20 @@ def open_loop_match(
     """Solve for the open-loop input that induces the feedback-optimal output.
 
     The target output law is the symmetric Markov chain of the family's
-    closed form; the input is recovered through the closed-form inverse
-    of the sequence kernel and checked for validity and for attaining
-    n times the closed-form capacity.
+    closed form; the input is recovered through the block-recursive
+    inverse of the sequence kernel and checked for validity and for
+    attaining n times the closed-form capacity.
     """
-    if isinstance(spec, PostAlpha):
-        sol = post_alpha_capacity(spec.alpha)
-        delta = sol.output_markov_transition
-        capacity = sol.capacity_bits
-    elif isinstance(spec, PostAB):
-        sol = binary_dmc_capacity(spec.a, spec.b)
-        if sol.degenerate or sol.relabeled:
-            raise SingularChannelError("requires a + b > 1")
-        delta = sol.output_markov_transition
-        capacity = sol.capacity_bits
-    else:
-        raise TypeError("open-loop matching applies to the binary families")
-
-    target = output_markov_pmf(delta, n, s0)
-    inverse = invert_sequence_kernel(spec, n, s0)
-    raw = inverse @ target.values
+    sol = closed_form_solution(spec, markov=True)
+    delta = sol.output_markov_transition
+    # Left to right: the inverse's size check runs before the target is built.
+    raw = invert_sequence_kernel(spec, n, s0) @ output_markov_pmf(delta, n, s0).values
     min_entry = float(raw.min())
     total = float(raw.sum())
 
     pmf = SequencePmf(2, n, np.maximum(raw, 0.0) / total)
     chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
     di = directed_information(open_loop_kernel(pmf, 2), chan)
-    di_gap = abs(di - n * capacity)
+    di_gap = abs(di - n * sol.capacity_bits)
     passed = min_entry >= -min_entry_tol and abs(total - 1.0) <= sum_tol and di_gap <= di_gap_tol
     return MatchReport(min_entry, total, di_gap, passed, pmf)

@@ -3,7 +3,8 @@
 A single mutable instance (``tolerances``) holds the default slack used
 throughout the library.  The CLI can override fields from a plain-text
 config file; library callers may also pass explicit values to the few
-functions that take a ``tol`` argument.
+functions that take a ``tol`` argument.  Tolerance files and channel
+spec configs share one ``key = value`` line format.
 """
 
 from dataclasses import dataclass
@@ -34,3 +35,21 @@ class ToleranceConfig:
 
 
 tolerances = ToleranceConfig()
+
+
+def _read_key_values(text):
+    """Fields of a plain-text config: one `key = value` per line.
+
+    Blank lines and lines starting with # are skipped; a later line
+    overrides an earlier one with the same key.
+    """
+    fields = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        fields[key] = value
+    return fields

@@ -42,7 +42,7 @@ from postcap import (
     upper_bound,
     validate_causal,
 )
-from postcap.construction import _recursion_chain_ab, _recursion_chain_alpha
+from postcap.construction import _input_levels
 from postcap.probability import SequencePmf
 
 TIGHT = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
@@ -118,7 +118,7 @@ def test_criterion_3_open_loop_construction_matches_feedback():
         for alpha in np.linspace(0.1, 0.9, 9):
             sol = post_alpha_capacity(alpha)
             _check_construction_family(
-                lambda n, a=alpha: _recursion_chain_alpha(a, n),
+                lambda n, a=alpha: list(_input_levels(PostAlpha(a), n)),
                 PostAlpha(alpha),
                 sol.output_markov_transition,
                 sol.capacity_bits,
@@ -129,7 +129,7 @@ def test_criterion_3_open_loop_construction_matches_feedback():
             n = 4
             _, fb_value, report = maximize_di_feedback(PostAlpha(alpha), n, 0, TIGHT)
             assert report.passed
-            raw = _recursion_chain_alpha(alpha, n)[-1][0]
+            raw = list(_input_levels(PostAlpha(alpha), n))[-1][0]
             pmf = SequencePmf(2, n, np.maximum(raw, 0.0) / raw.sum())
             chan = build_sequence_kernel(PostAlpha(alpha), n, 0).kernel
             di = directed_information(open_loop_kernel(pmf, 2), chan)
@@ -143,7 +143,7 @@ def test_criterion_3_open_loop_construction_matches_feedback():
                     continue
                 sol = binary_dmc_capacity(a, b)
                 _check_construction_family(
-                    lambda n, aa=a, bb=b: _recursion_chain_ab(aa, bb, n),
+                    lambda n, aa=a, bb=b: list(_input_levels(PostAB(aa, bb), n)),
                     PostAB(a, b),
                     sol.output_markov_transition,
                     sol.capacity_bits,
@@ -155,7 +155,7 @@ def test_criterion_3_open_loop_construction_matches_feedback():
             n = 4
             _, fb_value, report = maximize_di_feedback(PostAB(a, b), n, 0, TIGHT)
             assert report.passed
-            raw = _recursion_chain_ab(a, b, n)[-1][0]
+            raw = list(_input_levels(PostAB(a, b), n))[-1][0]
             pmf = SequencePmf(2, n, np.maximum(raw, 0.0) / raw.sum())
             chan = build_sequence_kernel(PostAB(a, b), n, 0).kernel
             di = directed_information(open_loop_kernel(pmf, 2), chan)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,13 +177,24 @@ def test_inverse_n1_post_ab():
     assert inv == approx(want)
 
 
-@pytest.mark.parametrize("spec", [PostAlpha(0.3), PostAB(0.85, 0.6)])
+INVERTIBLE_CUSTOM = CustomPost(
+    (
+        [[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]],
+        [[0.5, 0.1, 0.3], [0.3, 0.8, 0.1], [0.2, 0.1, 0.6]],
+        [[0.9, 0.3, 0.2], [0.05, 0.6, 0.2], [0.05, 0.1, 0.6]],
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "spec", [PostAlpha(0.3), PostAB(0.85, 0.6), PostAB(0.2, 0.3), INVERTIBLE_CUSTOM]
+)
 @pytest.mark.parametrize("s0", [0, 1])
 def test_inverse_times_kernel_is_identity(spec, s0):
     for n in (1, 2, 3):
         mat = build_sequence_kernel(spec, n, s0).kernel.values
         inv = invert_sequence_kernel(spec, n, s0)
-        assert np.abs(inv @ mat - np.eye(2**n)).max() < 1e-10
+        assert np.abs(inv @ mat - np.eye(mat.shape[0])).max() < 1e-10
 
 
 def test_inverse_identity_tolerance_scales_with_depth():
@@ -198,6 +210,21 @@ def test_singular_channels_raise():
         invert_sequence_kernel(PostAlpha(1.0), 2, 0)
     with pytest.raises(SingularChannelError):
         invert_sequence_kernel(PostAB(0.3, 0.7), 2, 0)
+    with pytest.raises(SingularChannelError):
+        invert_sequence_kernel(MaryPost(2), 2, 0)
+
+
+def test_inverse_size_guard_raises_before_allocating():
+    # 2^11 x 2^11 entries exceed DENSE_ENTRY_CAP; without the guard this
+    # call would allocate 32 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entries"):
+            invert_sequence_kernel(PostAlpha(0.5), 11, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- induced output law ----------------------------------------------------------

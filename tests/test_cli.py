@@ -178,13 +178,20 @@ def test_numeric_check_gap_can_fail(capsys):
     assert code == 1
 
 
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(["sweep", "alpha", "--points", "21", "--out", str(serial)]) == 0
-    monkeypatch.setenv("POSTCAP_THREADS", "4")
-    assert main(["sweep", "alpha", "--points", "21", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_config_file_rejects_malformed_line(tmp_path):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("pmf_sum 1e-8\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "capacity", "post-alpha", "--alpha", "0.5"])
+    assert exc.value.code == 2
+
+
+def test_verify_construction_oversized_exits_2(capsys):
+    # the 2^16 x 2^16 inverse would need 34 GB; the size check refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "construction", "--n", "16"])
+    assert exc.value.code == 2
+    assert "entries" in capsys.readouterr().err
 
 
 def test_table1_output_is_deterministic(tmp_path):

@@ -5,11 +5,15 @@ import pytest
 from pytest import approx
 
 from postcap import (
+    CustomPost,
+    MaryPost,
     PostAB,
     PostAlpha,
     SequencePmf,
+    SingularChannelError,
     binary_dmc_capacity,
     binary_entropy,
+    closed_form_solution,
     entropy,
     iid_state_example,
     kkt_check,
@@ -186,3 +190,16 @@ def test_iid_state_example():
     assert fb == approx(-math.log2(0.8), abs=1e-12)
     assert fb == approx(post_alpha_capacity(0.5).capacity_bits, abs=1e-12)
     assert fb > no_fb
+
+
+def test_closed_form_solution_looks_up_each_family():
+    assert closed_form_solution(PostAlpha(0.5)) == post_alpha_capacity(0.5)
+    assert closed_form_solution(PostAB(0.9, 0.7)) == binary_dmc_capacity(0.9, 0.7)
+    assert closed_form_solution(MaryPost(4)).capacity_bits == mary_feedback_capacity(4).capacity_bits
+    assert closed_form_solution(PostAB(0.2, 0.3)).relabeled
+    with pytest.raises(SingularChannelError):
+        closed_form_solution(PostAB(0.2, 0.3), markov=True)
+    with pytest.raises(TypeError):
+        closed_form_solution(MaryPost(4), markov=True)
+    with pytest.raises(TypeError):
+        closed_form_solution(CustomPost(([[1.0, 0.0], [0.0, 1.0]],) * 2))

@@ -11,6 +11,7 @@ from postcap import (
     beta_intervals_ab,
     binary_dmc_capacity,
     build_sequence_kernel,
+    closed_form_solution,
     induction_step_check,
     inequality_sweep,
     invert_sequence_kernel,
@@ -95,15 +96,16 @@ def test_recursive_input_matches_linear_solve():
         (PostAlpha(0.3), lambda n, s0: recursive_input_alpha(0.3, n, s0)),
         (PostAB(0.9, 0.7), lambda n, s0: recursive_input_ab(0.9, 0.7, n, s0)),
     ]:
-        if isinstance(spec, PostAlpha):
-            delta = post_alpha_capacity(spec.alpha).output_markov_transition
-        else:
-            delta = binary_dmc_capacity(spec.a, spec.b).output_markov_transition
+        delta = closed_form_solution(spec).output_markov_transition
         for s0 in (0, 1):
             n = 6
             direct = build(n, s0).values
-            solved = invert_sequence_kernel(spec, n, s0) @ output_markov_pmf(delta, n, s0).values
+            target = output_markov_pmf(delta, n, s0).values
+            solved = invert_sequence_kernel(spec, n, s0) @ target
             assert np.abs(direct - solved).max() < 1e-10
+            # a reference outside the block recursion: LU on the dense kernel
+            chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel.values
+            assert np.abs(direct - np.linalg.solve(chan, target)).max() < 1e-10
 
 
 def test_recursive_input_induces_markov_output():

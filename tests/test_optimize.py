@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,17 @@ def test_open_loop_match_ab_family():
 def test_open_loop_match_rejects_degenerate():
     with pytest.raises(SingularChannelError):
         open_loop_match(PostAB(0.3, 0.7), 4, 0)
+
+
+def test_open_loop_match_size_guard_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entries"):
+            open_loop_match(PostAlpha(0.5), 11, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_open_loop_match_report_text():
