@@ -218,9 +218,12 @@ def _vector_levels(coeffs, n):
 
     coeffs has shape (k, r, k): C_s for each of the k states.  Row s of
     level l is v_s = concat_i sum_j C_s[i, j] v_j of level l - 1, with
-    v_s = 1 at level 0; each level is one matrix product.
+    v_s = 1 at level 0; each level is one matrix product.  A row above
+    DENSE_ENTRY_CAP entries at level n raises before the first product.
     """
     k, r, _ = coeffs.shape
+    if r**n > DENSE_ENTRY_CAP:
+        raise ValueError(f"vector would hold {r**n} entries (cap {DENSE_ENTRY_CAP})")
     stacked = coeffs.reshape(k * r, k)
     levels = np.ones((k, 1))
     for _ in range(n):

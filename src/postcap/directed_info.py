@@ -27,37 +27,29 @@ def _check_pair(input_kernel, channel):
         raise ValueError("directed information requires dense kernels")
 
 
-def _joint_and_output(kin, chan, y):
-    """Joint p(x^n, y^n) indexed [y, x] and the output marginal."""
-    joint = chan * np.repeat(kin.T, y, axis=0)
-    return joint, joint.sum(axis=1)
-
-
-def _directed_information_arrays(kin, chan, y):
-    joint, py = _joint_and_output(kin, chan, y)
-    mask = joint > 0
-    with np.errstate(divide="ignore"):
-        terms = joint[mask] * (np.log2(chan[mask]) - np.log2(np.broadcast_to(py[:, None], joint.shape)[mask]))
-    value = math.fsum(terms)
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    return value, joint, py
+def _joint(kin, chan, y):
+    """Joint p(x^n, y^n) indexed [y, x]."""
+    return chan * np.repeat(kin.T, y, axis=0)
 
 
 def directed_information(input_kernel: CausalKernel, channel: CausalKernel) -> float:
     """I(X^n -> Y^n) in bits for a feedback input law and a channel."""
     _check_pair(input_kernel, channel)
-    value, _, _ = _directed_information_arrays(
-        input_kernel.values, channel.values, channel.out_alphabet
-    )
-    return value
+    chan = channel.values
+    joint = _joint(input_kernel.values, chan, channel.out_alphabet)
+    py = np.broadcast_to(joint.sum(axis=1)[:, None], joint.shape)
+    mask = joint > 0
+    with np.errstate(divide="ignore"):
+        terms = joint[mask] * (np.log2(chan[mask]) - np.log2(py[mask]))
+    value = math.fsum(terms)
+    return 0.0 if -1e-12 < value < 0.0 else value
 
 
 def directed_information_stepwise(input_kernel: CausalKernel, channel: CausalKernel):
     """Per-step terms I(X^i; Y_i | Y^{i-1}); they sum to the total."""
     _check_pair(input_kernel, channel)
     x, y, n = input_kernel.out_alphabet, channel.out_alphabet, channel.n
-    joint, _ = _joint_and_output(input_kernel.values, channel.values, y)
+    joint = _joint(input_kernel.values, channel.values, y)
     terms = []
     for i in range(1, n + 1):
         m = joint.reshape(y**i, y ** (n - i), x**i, x ** (n - i)).sum(axis=(1, 3))

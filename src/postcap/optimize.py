@@ -8,18 +8,26 @@ valid causal kernel and the objective never decreases.  The open-loop
 solver is the classic alternating maximization over plain input pmfs,
 with a sparse path for large alphabets.
 
+The feedback solver prepares the channel once per solve: w, the sum of
+the channel over the last output, and cl, the sum of chan ln chan over
+it.  Each iteration then makes one log pass over the output law,
+p(y^n) and S = sum_{y_n} chan ln p(y^n), which serves the objective
+(<kin, cl> - sum p ln p), the certificate (gradient t = cl - S - w) and
+the softmax step (utility (cl - S)/w + ln kin).
+
 Certificates: a first-order report with one multiplier per output
 context.  The inner expressions and the multipliers are computed in
 nats; the implied capacity (sum of multipliers plus one) is converted
-to bits once at the end.
+to bits once at the end.  Each iteration computes only the pass/fail
+diagnostics; the full report, with its multiplier map, is built for the
+returned kernel alone, by the same certificate path kkt_check runs.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channels import (
     build_sequence_kernel,
@@ -30,7 +38,7 @@ from .channels import (
 )
 from .closed_form import closed_form_solution
 from .construction import output_markov_pmf
-from .directed_info import _directed_information_arrays, directed_information
+from .directed_info import directed_information
 from .probability import (
     CausalKernel,
     SequencePmf,
@@ -49,6 +57,19 @@ SUPPORT_THRESHOLD = 1e-8
 # Stand-in for log(0) when forming softmax utilities; large enough to
 # zero the branch, small enough to avoid inf - inf.
 LOG_ZERO = -1e3
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis (all entries when None), shifted by the maximum.
+
+    Rows whose maximum is not finite (all -inf) are not shifted.
+    """
+    a = np.asarray(a)
+    top = a.max(axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - top).sum(axis=axis, keepdims=True)) + top
+    return out.squeeze(axis) if axis is not None else float(out.item())
 
 
 @dataclass
@@ -154,18 +175,51 @@ def _polyhedron_max(t, x_alph, y_alph, n):
     return float(util[0, 0])
 
 
-def _kkt_arrays(kin, chan, x_alph, y_alph, n, tol):
-    """Certificate from raw arrays: kin (X^n, Y^(n-1)), chan (Y^n, X^n)."""
-    n_rows, n_ctx = kin.shape
-    joint = chan * np.repeat(kin.T, y_alph, axis=0)
-    py = joint.sum(axis=1)
-    pos = chan > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_c = np.where(pos, np.log(chan, where=pos, out=np.zeros_like(chan)), 0.0)
-        ln_py = np.where(py > 0, np.log(py, where=py > 0, out=np.zeros_like(py)), 0.0)
-    inner = np.where(pos, chan * (ln_c - ln_py[:, None] - 1.0), 0.0)
-    t = inner.reshape(n_ctx, y_alph, n_rows).sum(axis=1).T  # (X^n, Y^(n-1))
-    undefined = (pos & (py == 0.0)[:, None]).reshape(n_ctx, y_alph, n_rows).any(axis=1).T
+@dataclass(frozen=True)
+class _PreparedChannel:
+    """Per-solve constants of a dense channel.
+
+    chan3 is the channel p(y^n || x^n) viewed as (Y^(n-1), Y, X^n).  w is
+    its sum over the last output and cl the sum of chan ln chan over it,
+    both indexed [x^n, y^(n-1)] like an input kernel.
+    """
+
+    kernel: CausalKernel
+    chan3: np.ndarray
+    w: np.ndarray
+    cl: np.ndarray
+
+
+def _prepare_channel(spec, n, s0):
+    kernel = build_sequence_kernel(spec, n, s0, storage="dense").kernel
+    y_alph = kernel.out_alphabet
+    chan3 = kernel.values.reshape(y_alph ** (n - 1), y_alph, -1)
+    ln_c = np.log(chan3, where=chan3 > 0, out=np.zeros_like(chan3))
+    w = np.ascontiguousarray(chan3.sum(axis=1).T)
+    cl = np.ascontiguousarray((chan3 * ln_c).sum(axis=1).T)
+    return _PreparedChannel(kernel, chan3, w, cl)
+
+
+def _log_pass(ch, kin):
+    """Output law p(y^n), its log (0 where p = 0) and S = sum_{y_n} chan ln p(y^n).
+
+    py and ln_py are shaped (Y^(n-1), Y); S is indexed [x^n, y^(n-1)].
+    """
+    py = np.matmul(ch.chan3, np.ascontiguousarray(kin.T)[:, :, None])[:, :, 0]
+    ln_py = np.log(py, where=py > 0, out=np.zeros_like(py))
+    return py, ln_py, np.matmul(ln_py[:, None, :], ch.chan3)[:, 0, :].T
+
+
+def _certificate(ch, kin, py, s, tol):
+    """Certificate of kin from one log pass, without its beta map.
+
+    Returns the report with an empty beta and the per-context
+    multipliers; _with_beta attaches them.  The gradient of directed
+    information is t = cl - S - w.
+    """
+    t = ch.cl - s - ch.w
+    # (x^n, y^(n-1)) pairs that reach an output sequence of probability 0
+    undefined = np.einsum("cyx,cy->xc", ch.chan3, (py == 0.0).astype(float)) > 0.0
 
     support = kin > SUPPORT_THRESHOLD
     weights = np.where(support, kin, 0.0)
@@ -182,7 +236,8 @@ def _kkt_arrays(kin, chan, x_alph, y_alph, n, tol):
     max_off = 0.0
     if (~full_support).any():
         max_off = max(0.0, float((row_sums[~full_support] - total).max()))
-    gap = max(0.0, _polyhedron_max(t_eff, x_alph, y_alph, n) - total)
+    kernel = ch.kernel
+    gap = max(0.0, _polyhedron_max(t_eff, kernel.in_alphabet, kernel.out_alphabet, kernel.n) - total)
     if undefined.any():
         x_idx, c_idx = np.argwhere(undefined)[0]
         note = (
@@ -197,21 +252,25 @@ def _kkt_arrays(kin, chan, x_alph, y_alph, n, tol):
                 f"from supported input row {x_idx} (context {c_idx})"
             )
 
-    ctx_len = round(math.log(n_ctx, y_alph)) if n_ctx > 1 else 0
-    beta_map = {index_sequence(j, y_alph, ctx_len): float(beta[j]) for j in range(n_ctx)}
     implied = (total + 1.0) / LN2
     passed = max_support <= tol and max_off <= tol and gap <= tol
-    return KktReport(beta_map, max_support, max_off, gap, implied, passed, tol, note)
+    return KktReport({}, max_support, max_off, gap, implied, passed, tol, note), beta
+
+
+def _with_beta(report, beta, ch):
+    y_alph, ctx_len = ch.kernel.out_alphabet, ch.kernel.n - 1
+    beta_map = {index_sequence(j, y_alph, ctx_len): float(b) for j, b in enumerate(beta)}
+    return replace(report, beta=beta_map)
 
 
 def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
     """First-order certificate of the input kernel against the channel."""
-    chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
-    if input_kernel.n != n or input_kernel.out_alphabet != chan.in_alphabet:
+    ch = _prepare_channel(spec, n, s0)
+    if input_kernel.n != n or input_kernel.out_alphabet != ch.kernel.in_alphabet:
         raise ValueError("input kernel does not match the channel")
-    return _kkt_arrays(
-        input_kernel.values, chan.values, chan.in_alphabet, chan.out_alphabet, n, tol
-    )
+    kin = input_kernel.values
+    py, _, s = _log_pass(ch, kin)
+    return _with_beta(*_certificate(ch, kin, py, s, tol), ch)
 
 
 def _channel_step_conditionals(chan, x_alph, y_alph, n):
@@ -236,23 +295,18 @@ def _channel_step_conditionals(chan, x_alph, y_alph, n):
     return levels
 
 
-def _surrogate_input_step(chan, joint, py, x_alph, y_alph, n, step_conds):
+def _surrogate_input_step(ch, kin, s, step_conds):
     """Exact maximizer of the surrogate objective for a fixed posterior.
 
-    Builds per-history utilities from the posterior of the current joint
-    and solves the resulting softmax recursion backwards; returns the
-    composed causal kernel.
+    The utility of each history is the posterior-weighted log posterior,
+    (cl - S)/w + ln kin, with LOG_ZERO where kin = 0 and 0 where the
+    context is unreachable (w = 0); the resulting softmax recursion is
+    solved backwards and the composed causal kernel returned.
     """
+    x_alph, y_alph, n = ch.kernel.in_alphabet, ch.kernel.out_alphabet, ch.kernel.n
     with np.errstate(divide="ignore", invalid="ignore"):
-        post = np.where(py[:, None] > 0, joint / np.where(py[:, None] > 0, py[:, None], 1.0), 0.0)
-        ln_post = np.where(post > 0, np.log(post, where=post > 0, out=np.zeros_like(post)), LOG_ZERO)
-    pos = chan > 0
-    gains = np.where(pos, chan * ln_post, 0.0)
-    n_ctx = y_alph ** (n - 1)
-    r = gains.reshape(n_ctx, y_alph, x_alph**n).sum(axis=1).T
-    w = chan.reshape(n_ctx, y_alph, x_alph**n).sum(axis=1).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(w > 0, r / np.where(w > 0, w, 1.0), 0.0)
+        util = np.where(kin > 0, (ch.cl - s) / ch.w + np.log(kin), LOG_ZERO)
+    util = np.where(ch.w > 0, util, 0.0)
 
     steps = [None] * n
     for i in range(n, 0, -1):
@@ -282,39 +336,43 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     Returns (kernel, value in bits, certificate).  Iterates until the
     certificate passes at cfg.kkt_tolerance; if the iteration budget is
     exhausted the best iterate is returned with its failing certificate.
+    The certificate equals kkt_check of the returned kernel.
     """
     cfg = cfg or OptimizerConfig()
-    chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
-    x_alph, y_alph = chan.in_alphabet, chan.out_alphabet
-    step_conds = _channel_step_conditionals(chan.values, x_alph, y_alph, n)
+    ch = _prepare_channel(spec, n, s0)
+    x_alph, y_alph = ch.kernel.in_alphabet, ch.kernel.out_alphabet
+    step_conds = _channel_step_conditionals(ch.kernel.values, x_alph, y_alph, n)
 
     kin = _initial_kernel(spec, n, cfg).values
-    best = (-math.inf, kin, None)
+    best = (-math.inf, kin, None, None)
     prev = -math.inf
     stall = 0
     for _ in range(cfg.max_iterations):
-        value, joint, py = _directed_information_arrays(kin, chan.values, y_alph)
+        py, ln_py, s = _log_pass(ch, kin)
+        value = (float(np.vdot(kin, ch.cl)) - float(np.vdot(py, ln_py))) / LN2
+        if -1e-12 < value < 0.0:
+            value = 0.0
         if value < prev - 1e-11:
             raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")
-        report = _kkt_arrays(kin, chan.values, x_alph, y_alph, n, cfg.kkt_tolerance)
+        report, beta = _certificate(ch, kin, py, s, cfg.kkt_tolerance)
         if value > best[0]:
-            best = (value, kin, report)
+            best = (value, kin, report, beta)
         if report.passed:
             kernel = CausalKernel(x_alph, y_alph, n, 1, kin)
-            return kernel, value, report
+            return kernel, value, _with_beta(report, beta, ch)
         stall = stall + 1 if abs(value - prev) < cfg.objective_tolerance else 0
         if stall >= 25:
             break
         prev = value
-        kin = _surrogate_input_step(chan.values, joint, py, x_alph, y_alph, n, step_conds)
+        kin = _surrogate_input_step(ch, kin, s, step_conds)
 
-    value, kin, report = best
+    value, kin, report, beta = best
     warnings.warn(
         f"feedback solver stopped without a passing certificate "
         f"(support violation {report.max_violation_support:.3e}, "
         f"off-support violation {report.max_violation_offsupport:.3e})"
     )
-    return CausalKernel(x_alph, y_alph, n, 1, kin), value, report
+    return CausalKernel(x_alph, y_alph, n, 1, kin), value, _with_beta(report, beta, ch)
 
 
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):

@@ -169,6 +169,17 @@ def test_console_entry_point_runs():
     assert "0.321928" in proc.stdout
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # every CLI call pays the import; scipy.special alone costs ~0.1 s
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, postcap.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_numeric_check_gap_can_fail(capsys):
     # an impossible tolerance turns the numeric cross-check into exit 1
     code = main(

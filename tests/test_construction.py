@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_recursive_input_ab_symmetric_channel():
 def test_recursive_input_ab_requires_nondegenerate():
     with pytest.raises(ValueError):
         recursive_input_ab(0.3, 0.7, 2, 0)
+
+
+def test_vector_recursion_size_guard_raises_before_allocating():
+    # 2^21 entries per row exceed DENSE_ENTRY_CAP; without the guard each
+    # call would allocate tens of MB
+    for build in (lambda: output_markov_pmf(0.3, 21, 0), lambda: recursive_input_alpha(0.3, 21, 0)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # -- multiplier intervals ----------------------------------------------------------

@@ -27,8 +27,10 @@ from postcap import (
     upper_bound,
     validate_causal,
 )
+from postcap import optimize
 from postcap.channels import SingularChannelError
 from postcap.construction import feedback_policy
+from postcap.optimize import LOG_ZERO
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
 
@@ -86,6 +88,27 @@ def test_solver_reports_nonconvergence():
     with pytest.warns(UserWarning):
         _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
     assert not report.passed
+
+
+def test_solver_report_is_certificate_of_its_kernel():
+    # the solver and kkt_check share one certificate path, so the reports
+    # are equal field by field, also for the best iterate of a budget stop
+    random = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7, initialization="random", seed=7)
+    budget = OptimizerConfig(max_iterations=3, kkt_tolerance=1e-12)
+    cases = [
+        (PostAlpha(0.3), 4, 0, TIGHT),
+        (PostAB(0.9, 0.7), 4, 1, TIGHT),
+        (MaryPost(3), 2, 0, random),
+        (PostAlpha(0.5), 3, 0, budget),
+    ]
+    for spec, n, s0, cfg in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            kernel, value, report = maximize_di_feedback(spec, n, s0, cfg)
+        assert report.passed == (cfg is not budget)
+        assert report == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance)
+        chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
+        assert abs(value - directed_information(kernel, chan)) <= 1e-12
 
 
 def test_implied_capacity_tracks_value():
@@ -233,6 +256,24 @@ def test_match_agrees_with_recursion_route():
     report = open_loop_match(PostAlpha(0.3), 6, 1)
     want = recursive_input_alpha(0.3, 6, 1).values
     assert np.abs(report.input_pmf.values - want).max() < 1e-10
+
+
+def test_logsumexp_matches_direct_sum():
+    a = np.random.default_rng(5).normal(size=(4, 3, 5))
+    assert abs(optimize.logsumexp(a) - np.log(np.exp(a).sum())) <= 1e-12
+    assert np.abs(optimize.logsumexp(a, axis=1) - np.log(np.exp(a).sum(axis=1))).max() <= 1e-12
+
+
+def test_logsumexp_extreme_entries():
+    a = np.array([[1000.0, 1000.0, -1000.0], [-1000.0, -1000.0, 0.0], [LOG_ZERO] * 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = optimize.logsumexp(a, axis=1)
+        total = optimize.logsumexp(a)
+    want = [1000.0 + math.log(2.0), math.log1p(2.0 * math.exp(-1000.0)), LOG_ZERO + math.log(3.0)]
+    assert np.isfinite(out).all()
+    assert out == approx(want, rel=1e-15)
+    assert total == approx(1000.0 + math.log(2.0), rel=1e-15)
 
 
 def test_optimizer_config_validation():
