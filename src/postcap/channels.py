@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .probability import CausalKernel, SequencePmf, _freeze
 from .tolerances import _read_key_values, tolerances
 
-# Beyond this many matrix entries a sequence-level matrix must be sparse.
+# No sequence-level array may hold more entries than this.
 DENSE_ENTRY_CAP = 2**20
 
 # One-step matrices with |det| at or below this count as singular.
@@ -160,20 +159,19 @@ def step_kernel(spec, state):
     return np.array(spec.class_matrices[spec.state_classes[state]])
 
 
-def _block_matrix(coeffs, state_classes, n, target, by_column=False, sparse=False):
+def _block_matrix(coeffs, state_classes, n, target, by_column=False):
     """Level-n matrix of the first-symbol block recursion from class target.
 
     coeffs maps each class to its one-step matrix C_c.  Block (i, j) of
     the level-l matrix of class c is C_c[i, j] times the level-(l-1)
     matrix of the class of state i (of state j with by_column).  Each
-    level is written into one preallocated array (dense) or one set of
-    coordinate arrays (sparse); only the target class is built at the
-    top level.  A dense result above DENSE_ENTRY_CAP entries raises
-    before anything is allocated.
+    level is written into one preallocated array; only the target class
+    is built at the top level.  A result above DENSE_ENTRY_CAP entries
+    raises before anything is allocated.
     """
     rows, cols = next(iter(coeffs.values())).shape
     entries = rows**n * cols**n
-    if not sparse and entries > DENSE_ENTRY_CAP:
+    if entries > DENSE_ENTRY_CAP:
         raise ValueError(f"dense matrix would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
     # (i, j, C_c[i, j], class whose lower-level matrix fills block (i, j))
     terms = {
@@ -183,34 +181,17 @@ def _block_matrix(coeffs, state_classes, n, target, by_column=False, sparse=Fals
         ]
         for cls, mat in coeffs.items()
     }
-    index = np.int32 if max(rows, cols) ** n < 2**31 else np.int64
-    zero = np.zeros(1, index)
-    one = sp.coo_array((np.ones(1), (zero, zero)), shape=(1, 1)) if sparse else np.ones((1, 1))
-    prev = dict.fromkeys(coeffs, one)
+    prev = dict.fromkeys(coeffs, np.ones((1, 1)))
     for level in range(1, n + 1):
         r, c = rows ** (level - 1), cols ** (level - 1)
-        shape = (rows * r, cols * c)
         cur = {}
         for cls in coeffs if level < n else (target,):
-            if sparse:
-                size = sum(prev[src].nnz for *_, src in terms[cls])
-                row, col, data = np.empty(size, index), np.empty(size, index), np.empty(size)
-            else:
-                out = np.zeros(shape)
-            pos = 0
+            out = np.zeros((rows * r, cols * c))
             for i, j, w, src in terms[cls]:
-                block = prev[src]
-                if sparse:
-                    span = slice(pos, pos + block.nnz)
-                    pos += block.nnz
-                    np.add(block.row, i * r, out=row[span])
-                    np.add(block.col, j * c, out=col[span])
-                    np.multiply(w, block.data, out=data[span])
-                else:
-                    np.multiply(w, block, out=out[i * r : (i + 1) * r, j * c : (j + 1) * c])
-            cur[cls] = sp.coo_array((data, (row, col)), shape=shape) if sparse else out
+                np.multiply(w, prev[src], out=out[i * r : (i + 1) * r, j * c : (j + 1) * c])
+            cur[cls] = out
         prev = cur
-    return prev[target].tocsc() if sparse else prev[target]
+    return prev[target]
 
 
 def _vector_levels(coeffs, n):
@@ -229,6 +210,68 @@ def _vector_levels(coeffs, n):
     for _ in range(n):
         levels = (stacked @ levels).reshape(k, -1)
         yield levels
+
+
+def _channel_steps(spec, n, s0):
+    """Step tensor and its entropy term for the matrix-free channel passes.
+
+    Returns steps[s, y, x] = p(y | x, s) for every state s and
+    ent[s, x] = sum_y steps ln steps.  No array of the passes holds more
+    than max(|X|, |Y|)^n entries; above DENSE_ENTRY_CAP, as for n < 1 or
+    a state outside the output alphabet, this raises before allocating.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    k = output_alphabet(spec)
+    if not 0 <= s0 < k:
+        raise ValueError(f"initial state {s0} out of range")
+    entries = max(k, input_alphabet(spec)) ** n
+    if entries > DENSE_ENTRY_CAP:
+        raise ValueError(f"channel pass would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
+    steps = np.stack([step_kernel(spec, s) for s in range(k)])
+    logs = np.log(steps, where=steps > 0, out=np.zeros_like(steps))
+    return steps, (steps * logs).sum(axis=1)
+
+
+def _forward_pass(steps, s0, n, p):
+    """q = W p for the channel W = p(y^n || x^n, s0), one position at a time.
+
+    Before position i the array is laid out [y_(i-1), x_i..x_n, y^(i-2)],
+    the state first, so each position is one matmul per state.  The
+    product is written with the new output first and the old state last,
+    the layout of position i + 1; the last position writes q in
+    sequence order.
+    """
+    k, _, x = steps.shape
+    cur = steps[s0] @ p.reshape(x, -1)
+    for i in range(2, n + 1):
+        prev = cur.reshape(k, x, -1)
+        last = i == n
+        cur = np.empty((prev.shape[2], k, k) if last else (k, prev.shape[2], k))
+        np.matmul(steps, prev, out=cur.transpose((1, 2, 0) if last else (2, 0, 1)))
+    return cur.ravel()
+
+
+def _backward_pass(steps, ent, s0, n, ln_q):
+    """D(x^n) = sum_y W(y^n | x^n) ln(W(y^n | x^n) / q(y^n)), from the last position.
+
+    Before position i the array is laid out [y_(i-1), y_i, x_(i+1)..x_n,
+    y^(i-2)]; each position is one matmul per state with the transposed
+    step, plus ent[y_(i-1), x_i], which adds sum_y W ln W in the same
+    pass because every one-step column sums to 1.
+    """
+    k = steps.shape[0]
+    back = steps.transpose(0, 2, 1)
+    # [y_(n-1), y_n, y^(n-2)], or [y_1] when n = 1
+    cur = -ln_q.reshape(-1, k ** min(n, 2)).T
+    for i in range(n, 1, -1):
+        cur = np.matmul(back, cur.reshape(k, k, -1))
+        cur += ent[:, :, None]
+        if i > 2:
+            cur = cur.reshape(-1, k).T
+    out = back[s0] @ cur.reshape(k, -1)
+    out += ent[s0][:, None]
+    return out.ravel()
 
 
 def _inverse_class_matrices(spec):
@@ -255,12 +298,8 @@ class ChannelMatrix:
     initial_state: int
     kernel: CausalKernel
 
-    @property
-    def is_sparse(self):
-        return self.kernel.is_sparse
 
-
-def build_sequence_kernel(spec, n, s0, storage="auto"):
+def build_sequence_kernel(spec, n, s0, storage="dense"):
     """Assemble p(y^n || x^n, s0) by the first-symbol block recursion."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -268,12 +307,10 @@ def build_sequence_kernel(spec, n, s0, storage="auto"):
     x = input_alphabet(spec)
     if not 0 <= s0 < k:
         raise ValueError(f"initial state {s0} out of range")
-    if storage == "auto":
-        storage = "dense" if k**n * x**n <= DENSE_ENTRY_CAP else "sparse"
-    elif storage not in ("dense", "sparse"):
+    if storage != "dense":
         raise ValueError(f"unknown storage mode {storage!r}")
     classes = spec.state_classes
-    values = _block_matrix(spec.class_matrices, classes, n, classes[s0], sparse=storage == "sparse")
+    values = _block_matrix(spec.class_matrices, classes, n, classes[s0])
     return ChannelMatrix(spec, n, s0, CausalKernel(k, x, n, 0, values))
 
 
@@ -304,15 +341,8 @@ def induced_output_pmf(spec, n, s0, input_kernel: CausalKernel) -> SequencePmf:
         raise ValueError("alphabet mismatch")
     if input_kernel.n != n:
         raise ValueError("length mismatch")
-    channel = build_sequence_kernel(spec, n, s0).kernel
-    kin = input_kernel.dense_values()
-    if channel.is_sparse:
-        first = kin[:, 0]
-        if kin.shape[1] > 1 and np.abs(kin - first[:, None]).max() > 0:
-            raise ValueError("sparse channels support open-loop inputs only")
-        py = channel.values @ first
-    else:
-        py = (channel.values * np.repeat(kin.T, k, axis=0)).sum(axis=1)
+    chan = build_sequence_kernel(spec, n, s0).kernel.values
+    py = (chan * np.repeat(input_kernel.values.T, k, axis=0)).sum(axis=1)
     return SequencePmf(k, n, py)
 
 

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha, build_sequence_kernel
+from .channels import MaryPost, PostAB, PostAlpha, _channel_steps, build_sequence_kernel
 from .closed_form import (
     binary_dmc_capacity,
     closed_form_solution,
@@ -101,12 +101,16 @@ def _table1_rows(args):
     while m <= args.max_m:
         ms.append(m)
         m *= 2
+    bounded = [m for m in ms if m <= args.upper_bound_max_m]
+    if bounded:
+        # the largest channel raises here if it is too large, before any row is solved
+        _channel_steps(MaryPost(bounded[-1]), args.n, 0)
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
 
     return [
         (
             m,
-            upper_bound(MaryPost(m), args.n, cfg) if m <= args.upper_bound_max_m else None,
+            upper_bound(MaryPost(m), args.n, cfg) if m in bounded else None,
             mary_scheme_rate(m),
             mary_feedback_capacity(m).capacity_bits,
         )
@@ -115,12 +119,6 @@ def _table1_rows(args):
 
 
 def cmd_table1(parser, args):
-    cap = 8 if args.big else 4
-    if args.upper_bound_max_m > cap:
-        parser.error(
-            f"--upper-bound-max-m is limited to {cap} at this scale"
-            + ("" if args.big else " (use --big for up to 8)")
-        )
     rows = _table1_rows(args)
     if args.format == "csv":
         lines = ["m,upper_bound,scheme_rate,feedback_capacity"]
@@ -310,7 +308,6 @@ def build_parser():
     tab.add_argument("--n", type=int, default=6)
     tab.add_argument("--max-m", type=int, default=1024)
     tab.add_argument("--upper-bound-max-m", type=int, default=4)
-    tab.add_argument("--big", action="store_true", help="allow the upper bound up to m=8")
     tab.add_argument("--out")
     tab.add_argument("--format", choices=["csv", "json"], default="csv")
     tab.add_argument("--check", action="store_true", help="compare against reference values")

@@ -23,8 +23,6 @@ def _check_pair(input_kernel, channel):
         or channel.out_alphabet != input_kernel.in_alphabet
     ):
         raise ValueError("alphabet mismatch")
-    if input_kernel.is_sparse or channel.is_sparse:
-        raise ValueError("directed information requires dense kernels")
 
 
 def _joint(kin, chan, y):

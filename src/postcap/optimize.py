@@ -5,8 +5,9 @@ exact posterior update and an exact maximization of the surrogate
 objective over the causal-input polyhedron; the latter is a backward
 softmax recursion over input/output histories, so every iterate is a
 valid causal kernel and the objective never decreases.  The open-loop
-solver is the classic alternating maximization over plain input pmfs,
-with a sparse path for large alphabets.
+solver is the classic alternating maximization over plain input pmfs;
+it never builds the channel matrix, but follows the channel one
+position at a time for q = W p and for the divergences of W from q.
 
 The feedback solver prepares the channel once per solve: w, the sum of
 the channel over the last output, and cl, the sum of chan ln chan over
@@ -30,6 +31,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (
+    _backward_pass,
+    _channel_steps,
+    _forward_pass,
     build_sequence_kernel,
     initial_states,
     input_alphabet,
@@ -378,28 +382,16 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     """Maximize I(X^n; Y^n | s0) over plain input pmfs.
 
-    Classic alternating maximization on the sequence-level channel; the
-    stopping rule bounds the one-shot optimality residual (difference
-    between the largest per-input divergence and the achieved value) by
-    cfg.kkt_tolerance nats.  Returns (pmf, value in bits).
+    Classic alternating maximization through the matrix-free channel
+    passes; the stopping rule bounds the one-shot optimality residual
+    (difference between the largest per-input divergence and the
+    achieved value) by cfg.kkt_tolerance nats.  Returns (pmf, value in
+    bits).
     """
     cfg = cfg or OptimizerConfig()
-    cm = build_sequence_kernel(spec, n, s0)
-    chan = cm.kernel.values
-    x_alph = input_alphabet(spec)
+    steps, ent = _channel_steps(spec, n, s0)
+    x_alph = steps.shape[2]
     size = x_alph**n
-    sparse = cm.kernel.is_sparse
-    if sparse:
-        chan_t = chan.T.tocsr()
-        logs = chan.copy()
-        logs.data = chan.data * np.log(chan.data)
-        const = np.asarray(logs.sum(axis=0)).ravel()
-    else:
-        pos = chan > 0
-        with np.errstate(divide="ignore"):
-            const = np.where(pos, chan * np.log(chan, where=pos, out=np.zeros_like(chan)), 0.0).sum(
-                axis=0
-            )
 
     if cfg.initialization == "random":
         rng = np.random.default_rng(cfg.seed)
@@ -412,9 +404,9 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     value = 0.0
     converged = False
     for _ in range(cfg.max_iterations):
-        q = chan @ p
-        ln_q = np.where(q > 0, np.log(q, where=q > 0, out=np.zeros_like(q)), 0.0)
-        divergences = const - (chan_t @ ln_q if sparse else chan.T @ ln_q)
+        q = _forward_pass(steps, s0, n, p)
+        ln_q = np.log(q, where=q > 0, out=np.zeros_like(q))
+        divergences = _backward_pass(steps, ent, s0, n, ln_q)
         value = float(p @ divergences)
         if value < prev - 1e-11:
             raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")

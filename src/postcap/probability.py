@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tolerances import tolerances
 
@@ -146,8 +145,7 @@ class CausalKernel:
     """Matrix form of p(a^n || b^{n-d}); rows a^n, columns b^{n-d}.
 
     out_alphabet is the alphabet of the sequence variable a, in_alphabet
-    the alphabet of the conditioning sequence b.  values may be a dense
-    ndarray or a scipy sparse matrix (used for large alphabets).
+    the alphabet of the conditioning sequence b; values is a dense array.
     """
 
     out_alphabet: int
@@ -156,35 +154,19 @@ class CausalKernel:
     delay: int
     values: object
 
+    # Always dense; read by the benchmark's tracer (bench/tracing.py).
+    is_sparse = False
+
     def __post_init__(self):
         if self.delay not in (0, 1):
             raise ValueError("delay must be 0 or 1")
         want = (self.out_alphabet**self.n, self.in_alphabet ** (self.n - self.delay))
-        v = self.values
-        if sp.issparse(v):
-            if v.shape != want:
-                raise ValueError(f"shape {v.shape}, expected {want}")
-            v = v.tocsc()
-            v.eliminate_zeros()
-            if v.nnz and v.data.min() < -tolerances.entry_floor:
-                raise ValueError("negative kernel entry")
-            object.__setattr__(self, "values", v)
-        else:
-            v = np.asarray(v, dtype=float)
-            if v.shape != want:
-                raise ValueError(f"shape {v.shape}, expected {want}")
-            if v.size and v.min() < -tolerances.entry_floor:
-                raise ValueError("negative kernel entry")
-            object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def is_sparse(self):
-        return sp.issparse(self.values)
-
-    def dense_values(self):
-        if self.is_sparse:
-            return np.asarray(self.values.todense())
-        return self.values
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != want:
+            raise ValueError(f"shape {v.shape}, expected {want}")
+        if v.size and v.min() < -tolerances.entry_floor:
+            raise ValueError("negative kernel entry")
+        object.__setattr__(self, "values", _freeze(v))
 
 
 @dataclass
@@ -224,11 +206,7 @@ def _partial_sums(kernel, level):
     """Sum the kernel over tails a_{level+1..n}; shape (A**level, B**(n-d))."""
     a, n = kernel.out_alphabet, kernel.n
     v = kernel.values
-    tail = a ** (n - level)
-    if kernel.is_sparse:
-        reducer = sp.kron(sp.eye_array(a**level), np.ones((1, tail)), format="csr")
-        return reducer @ v
-    return v.reshape(a**level, tail, v.shape[1]).sum(axis=1)
+    return v.reshape(a**level, a ** (n - level), v.shape[1]).sum(axis=1)
 
 
 def validate_causal(kernel: CausalKernel, tol=None) -> ValidationReport:
@@ -240,16 +218,12 @@ def validate_causal(kernel: CausalKernel, tol=None) -> ValidationReport:
     violations = []
     worst = 0.0
 
-    if kernel.is_sparse:
-        neg = max(0.0, float(-v.data.min())) if v.nnz else 0.0
-    else:
-        neg = max(0.0, float(-v.min())) if v.size else 0.0
+    neg = max(0.0, float(-v.min())) if v.size else 0.0
     worst = max(worst, neg)
     if neg > tol:
         violations.append(("negativity", neg))
 
-    col_sums = np.asarray(v.sum(axis=0)).ravel()
-    col_err = np.abs(col_sums - 1.0)
+    col_err = np.abs(v.sum(axis=0) - 1.0)
     worst = max(worst, float(col_err.max()))
     for j in np.flatnonzero(col_err > tol):
         violations.append((f"normalization b-context {j}", float(col_err[j])))
@@ -262,32 +236,16 @@ def validate_causal(kernel: CausalKernel, tol=None) -> ValidationReport:
         group = b ** (n - d - j)
         if group == 1:
             continue
-        first_cols = np.arange(b**j) * group
-        if kernel.is_sparse:
-            ref = s[:, np.repeat(first_cols, group)]
-            diff = s - ref
-            if diff.nnz == 0:
-                continue
-            coo = diff.tocoo()
-            mags = np.abs(coo.data)
-            worst = max(worst, float(mags.max()))
-            for r, c, mag in zip(coo.row, coo.col, mags):
-                if mag > tol:
-                    violations.append(
-                        (f"prefix consistency level {i} a-prefix {r} b-context {c}", float(mag))
-                    )
-        else:
-            grouped = s.reshape(a**i, b**j, group)
-            diff = np.abs(grouped - grouped[:, :, :1])
-            worst = max(worst, float(diff.max()))
-            for r, g, c in zip(*np.nonzero(diff > tol)):
-                violations.append(
-                    (
-                        f"prefix consistency level {i} a-prefix {r} "
-                        f"b-context {g * group + c}",
-                        float(diff[r, g, c]),
-                    )
+        grouped = s.reshape(a**i, b**j, group)
+        diff = np.abs(grouped - grouped[:, :, :1])
+        worst = max(worst, float(diff.max()))
+        for r, g, c in zip(*np.nonzero(diff > tol)):
+            violations.append(
+                (
+                    f"prefix consistency level {i} a-prefix {r} b-context {g * group + c}",
+                    float(diff[r, g, c]),
                 )
+            )
 
     return ValidationReport(worst <= tol, worst, tol, violations)
 
@@ -301,8 +259,6 @@ def factorize_causal(kernel: CausalKernel, tol=None) -> StepPolicy:
     report = validate_causal(kernel, tol)
     if not report.passed:
         raise ValueError(f"not a causal kernel (max violation {report.max_violation:.3e})")
-    if kernel.is_sparse:
-        raise ValueError("factorize_causal requires a dense kernel")
     a, b, n, d = kernel.out_alphabet, kernel.in_alphabet, kernel.n, kernel.delay
 
     # prefix-sum tables, collapsed onto the symbols they may depend on
@@ -342,8 +298,6 @@ def chain_join(input_kernel: CausalKernel, channel: CausalKernel) -> SequencePmf
     x, y, n = input_kernel.out_alphabet, input_kernel.in_alphabet, input_kernel.n
     if channel.in_alphabet != x or channel.out_alphabet != y:
         raise ValueError("alphabet mismatch")
-    if input_kernel.is_sparse or channel.is_sparse:
-        raise ValueError("chain_join requires dense kernels")
     joint = channel.values * np.repeat(input_kernel.values.T, y, axis=0)
     arr = joint.T.reshape((x,) * n + (y,) * n)
     perm = [ax for i in range(n) for ax in (i, n + i)]

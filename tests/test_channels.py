@@ -21,6 +21,7 @@ from postcap import (
     step_kernel,
     validate_causal,
 )
+from postcap.channels import _backward_pass, _channel_steps, _forward_pass
 from postcap.closed_form import mary_state_policy
 from postcap.construction import feedback_policy, output_markov_pmf
 from postcap.probability import SequencePmf, compose_causal
@@ -134,32 +135,66 @@ def test_mary_sequence_kernel_matches_path_products():
 def test_sequence_kernel_columns_stochastic(spec, n):
     for s0 in initial_states(spec):
         kernel = build_sequence_kernel(spec, n, s0).kernel
-        dense = kernel.dense_values()
-        assert dense.sum(axis=0) == approx(np.ones(dense.shape[1]))
+        assert kernel.values.sum(axis=0) == approx(np.ones(kernel.values.shape[1]))
         assert validate_causal(kernel).passed
-
-
-def test_sparse_and_dense_builders_agree():
-    for spec, n in [(MaryPost(2), 3), (PostAlpha(0.45), 4)]:
-        dense = build_sequence_kernel(spec, n, 0, storage="dense").kernel.values
-        sparse = build_sequence_kernel(spec, n, 0, storage="sparse").kernel
-        assert sparse.is_sparse
-        assert np.abs(sparse.dense_values() - dense).max() == 0.0
 
 
 def test_mary_kernel_nonzeros_per_column_bounded():
     for m, n in [(1, 6), (2, 5), (4, 4)]:
-        kernel = build_sequence_kernel(MaryPost(m), n, 0, storage="sparse").kernel
-        csc = kernel.values
-        col_nnz = np.diff(csc.indptr)
-        assert col_nnz.max() <= 2**n
+        values = build_sequence_kernel(MaryPost(m), n, 0).kernel.values
+        assert np.count_nonzero(values, axis=0).max() <= 2**n
 
 
 def test_dense_cap_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries"):
+        build_sequence_kernel(MaryPost(4), 6, 0)
+    with pytest.raises(ValueError, match="entries"):
         build_sequence_kernel(MaryPost(4), 6, 0, storage="dense")
-    auto = build_sequence_kernel(MaryPost(4), 6, 0)
-    assert auto.is_sparse
+    with pytest.raises(ValueError, match="storage"):
+        build_sequence_kernel(MaryPost(1), 2, 0, storage="sparse")
+
+
+# -- matrix-free channel passes ---------------------------------------------------
+
+THREE_STATE_CUSTOM = CustomPost(
+    (
+        [[0.7, 0.0, 0.1], [0.3, 0.6, 0.0], [0.0, 0.4, 0.9]],
+        [[0.5, 0.1, 0.3], [0.3, 0.8, 0.1], [0.2, 0.1, 0.6]],
+        [[1.0, 0.3, 0.2], [0.0, 0.6, 0.2], [0.0, 0.1, 0.6]],
+    )
+)
+TWO_INPUT_CUSTOM = CustomPost(
+    (
+        [[0.7, 0.1], [0.3, 0.0], [0.0, 0.9]],
+        [[0.2, 0.5], [0.8, 0.1], [0.0, 0.4]],
+        [[0.0, 0.3], [0.5, 0.3], [0.5, 0.4]],
+    )
+)
+PASS_SPECS = [
+    PostAlpha(0.3),
+    PostAB(0.9, 0.7),
+    MaryPost(1),
+    MaryPost(2),
+    MaryPost(4),
+    THREE_STATE_CUSTOM,
+    TWO_INPUT_CUSTOM,
+]
+
+
+@pytest.mark.parametrize("spec", PASS_SPECS)
+def test_channel_passes_match_dense_kernel(spec):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        for s0 in range(len(spec.state_classes)):
+            chan = build_sequence_kernel(spec, n, s0).kernel.values
+            p = rng.dirichlet(np.ones(chan.shape[1]))
+            steps, ent = _channel_steps(spec, n, s0)
+            q = _forward_pass(steps, s0, n, p)
+            assert np.abs(q - chan @ p).max() < 1e-13
+            ln_q = np.log(q, where=q > 0, out=np.zeros_like(q))
+            ln_c = np.log(chan, where=chan > 0, out=np.zeros_like(chan))
+            want = (chan * (ln_c - ln_q[:, None])).sum(axis=0)
+            assert np.abs(_backward_pass(steps, ent, s0, n, ln_q) - want).max() < 1e-12
 
 
 # -- closed-form block inverses -------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -115,10 +116,22 @@ def test_table1_json_format(tmp_path):
     assert rows[1]["feedback_capacity"] == pytest.approx(0.8325, abs=5e-4)
 
 
-def test_table1_upper_bound_cap_requires_big():
+def test_table1_oversized_upper_bound_exits_2_before_solving(capsys):
+    # m = 16 at n = 6 exceeds the library's size cap; the rows below it
+    # must not be solved first
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        main(["table1", "--max-m", "8", "--upper-bound-max-m", "8"])
+        main(["table1", "--max-m", "16", "--upper-bound-max-m", "16"])
     assert exc.value.code == 2
+    assert time.perf_counter() - start < 2.0
+    assert "cap" in capsys.readouterr().err
+
+
+def test_table1_upper_bound_reaches_m8(capsys):
+    assert main(["table1", "--n", "2", "--max-m", "8", "--upper-bound-max-m", "8"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert last[0] == "8"
+    assert float(last[1]) > 0.0
 
 
 def test_verify_inequalities(capsys):
@@ -170,14 +183,12 @@ def test_console_entry_point_runs():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # every CLI call pays the import; scipy.special alone costs ~0.1 s
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, postcap.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+    # every CLI call pays the import; scipy.special alone costs ~0.1 s and
+    # scipy.sparse ~0.25 s, and the package needs neither
+    code = "import sys, postcap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_numeric_check_gap_can_fail(capsys):

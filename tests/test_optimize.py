@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from postcap import (
+    CustomPost,
     MaryPost,
     PostAB,
     PostAlpha,
@@ -184,15 +185,73 @@ def test_open_loop_equals_feedback_for_binary_families():
         assert fb_value >= ol_value - 1e-9
 
 
-def test_open_loop_solver_sparse_path():
-    cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-8)
-    dense = maximize_mi_nofeedback(MaryPost(1), 4, 0, cfg)[1]
-    kernel = build_sequence_kernel(MaryPost(1), 4, 0, storage="sparse")
-    assert kernel.is_sparse
-    # force the sparse code path via a spec whose auto storage is sparse
-    sparse_value = maximize_mi_nofeedback(MaryPost(4), 4, 0, cfg)[1]
-    assert sparse_value > 0
-    assert dense > 0
+def _reference_open_loop(spec, n, s0, cfg):
+    """Blahut-Arimoto on the dense sequence kernel, with the solver's update and stop."""
+    chan = build_sequence_kernel(spec, n, s0).kernel.values
+    const = (chan * np.log(chan, where=chan > 0, out=np.zeros_like(chan))).sum(axis=0)
+    p = np.full(chan.shape[1], 1.0 / chan.shape[1])
+    for _ in range(cfg.max_iterations):
+        q = chan @ p
+        divergences = const - chan.T @ np.log(q, where=q > 0, out=np.zeros_like(q))
+        value = float(p @ divergences)
+        if divergences.max() - value <= cfg.kkt_tolerance:
+            break
+        log_p = np.log(p) + divergences
+        p = np.exp(log_p - np.log(np.exp(log_p - log_p.max()).sum()) - log_p.max())
+    return p, value / math.log(2.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PostAlpha(0.3),
+        PostAB(0.9, 0.7),
+        MaryPost(1),
+        MaryPost(2),
+        MaryPost(4),
+        CustomPost(
+            (
+                [[0.7, 0.0, 0.1], [0.3, 0.6, 0.0], [0.0, 0.4, 0.9]],
+                [[0.5, 0.1, 0.3], [0.3, 0.8, 0.1], [0.2, 0.1, 0.6]],
+                [[1.0, 0.3, 0.2], [0.0, 0.6, 0.2], [0.0, 0.1, 0.6]],
+            )
+        ),
+        CustomPost(
+            (
+                [[0.7, 0.1], [0.3, 0.0], [0.0, 0.9]],
+                [[0.2, 0.5], [0.8, 0.1], [0.0, 0.4]],
+                [[0.0, 0.3], [0.5, 0.3], [0.5, 0.4]],
+            )
+        ),
+    ],
+)
+def test_open_loop_solver_matches_reference_ba(spec):
+    cfg = OptimizerConfig(max_iterations=3000, kkt_tolerance=1e-8)
+    for n in (1, 2, 3, 4):
+        for s0 in range(len(spec.state_classes)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pmf, value = maximize_mi_nofeedback(spec, n, s0, cfg)
+            want_p, want_value = _reference_open_loop(spec, n, s0, cfg)
+            assert abs(value - want_value) < 1e-12
+            assert np.abs(pmf.values - want_p).max() < 1e-12
+
+
+def test_open_loop_solver_size_guard_raises_before_allocating():
+    # max(|X|, |Y|)^6 = 17^6 entries exceed DENSE_ENTRY_CAP; without the
+    # guard the passes would allocate about 190 MB per array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entries"):
+            upper_bound(MaryPost(16), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValueError, match="positive"):
+        maximize_mi_nofeedback(MaryPost(1), 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        maximize_mi_nofeedback(MaryPost(1), 3, -1)
 
 
 def test_upper_bound_scans_initial_states():

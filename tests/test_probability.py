@@ -253,17 +253,3 @@ def test_factorize_rejects_invalid_kernel():
     values[0, 0] += 1e-3
     with pytest.raises(ValueError):
         factorize_causal(CausalKernel(2, 2, 2, 1, values))
-
-
-def test_validate_sparse_kernel_and_violations():
-    import scipy.sparse as sp
-
-    from postcap.channels import MaryPost
-
-    kernel = build_sequence_kernel(MaryPost(2), 3, 0, storage="sparse").kernel
-    assert validate_causal(kernel).passed
-    bad = kernel.values.tolil()
-    bad[0, 0] += 1e-3
-    report = validate_causal(CausalKernel(3, 3, 3, 0, sp.csc_array(bad)))
-    assert not report.passed
-    assert report.max_violation >= 1e-3 - 1e-12
