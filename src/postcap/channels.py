@@ -33,12 +33,17 @@ class _StateMatrices:
 
     class_matrices maps the representative state of each class to its
     matrix p(y | x, s), rows y and columns x; state_classes gives the
-    representative of every state.  Both are built on first use.
+    representative of every state; input_size is the number of columns.
+    All are built on first use.
     """
 
     @cached_property
     def state_classes(self):
         return tuple(range(len(self.class_matrices)))
+
+    @cached_property
+    def input_size(self):
+        return self.class_matrices[self.state_classes[0]].shape[1]
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,10 @@ class MaryPost(_StateMatrices):
         return (0,) * self.m + (self.m,)
 
     @cached_property
+    def input_size(self):
+        return self.m + 1
+
+    @cached_property
     def class_matrices(self):
         m = self.m
         below = np.zeros((m + 1, m + 1))
@@ -139,7 +148,7 @@ def output_alphabet(spec):
 
 
 def input_alphabet(spec):
-    return spec.class_matrices[spec.state_classes[0]].shape[1]
+    return spec.input_size
 
 
 def state_class(spec, state):
@@ -212,23 +221,33 @@ def _vector_levels(coeffs, n):
         yield levels
 
 
-def _channel_steps(spec, n, s0):
-    """Step tensor and its entropy term for the matrix-free channel passes.
+def _check_pass_size(spec, n, s0):
+    """Raise ValueError unless the channel passes for (spec, n, s0) fit; allocates nothing.
 
-    Returns steps[s, y, x] = p(y | x, s) for every state s and
-    ent[s, x] = sum_y steps ln steps.  No array of the passes holds more
-    than max(|X|, |Y|)^n entries; above DENSE_ENTRY_CAP, as for n < 1 or
-    a state outside the output alphabet, this raises before allocating.
+    The passes' largest arrays are the step tensor, |Y| * |Y| * |X|
+    entries, and the per-position arrays, at most max(|X|, |Y|)^n
+    entries; either above DENSE_ENTRY_CAP raises, as do n < 1 and a
+    state outside the output alphabet.
     """
     if n < 1:
         raise ValueError("n must be positive")
     k = output_alphabet(spec)
     if not 0 <= s0 < k:
         raise ValueError(f"initial state {s0} out of range")
-    entries = max(k, input_alphabet(spec)) ** n
+    x = input_alphabet(spec)
+    entries = max(max(k, x) ** n, k * k * x)
     if entries > DENSE_ENTRY_CAP:
         raise ValueError(f"channel pass would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
-    steps = np.stack([step_kernel(spec, s) for s in range(k)])
+
+
+def _channel_steps(spec, n, s0):
+    """Step tensor and its entropy term for the matrix-free channel passes.
+
+    Returns steps[s, y, x] = p(y | x, s) for every state s and
+    ent[s, x] = sum_y steps ln steps, after _check_pass_size.
+    """
+    _check_pass_size(spec, n, s0)
+    steps = np.stack([step_kernel(spec, s) for s in range(output_alphabet(spec))])
     logs = np.log(steps, where=steps > 0, out=np.zeros_like(steps))
     return steps, (steps * logs).sum(axis=1)
 

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha, _channel_steps, build_sequence_kernel
+from .channels import MaryPost, PostAB, PostAlpha, _check_pass_size, build_sequence_kernel
 from .closed_form import (
     binary_dmc_capacity,
     closed_form_solution,
@@ -104,7 +104,7 @@ def _table1_rows(args):
     bounded = [m for m in ms if m <= args.upper_bound_max_m]
     if bounded:
         # the largest channel raises here if it is too large, before any row is solved
-        _channel_steps(MaryPost(bounded[-1]), args.n, 0)
+        _check_pass_size(MaryPost(bounded[-1]), args.n, 0)
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
 
     return [

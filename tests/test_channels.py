@@ -26,6 +26,8 @@ from postcap.closed_form import mary_state_policy
 from postcap.construction import feedback_policy, output_markov_pmf
 from postcap.probability import SequencePmf, compose_causal
 
+from channel_cases import PASS_SPECS
+
 
 # -- one-step kernels ---------------------------------------------------------
 
@@ -155,30 +157,6 @@ def test_dense_cap_enforced():
 
 
 # -- matrix-free channel passes ---------------------------------------------------
-
-THREE_STATE_CUSTOM = CustomPost(
-    (
-        [[0.7, 0.0, 0.1], [0.3, 0.6, 0.0], [0.0, 0.4, 0.9]],
-        [[0.5, 0.1, 0.3], [0.3, 0.8, 0.1], [0.2, 0.1, 0.6]],
-        [[1.0, 0.3, 0.2], [0.0, 0.6, 0.2], [0.0, 0.1, 0.6]],
-    )
-)
-TWO_INPUT_CUSTOM = CustomPost(
-    (
-        [[0.7, 0.1], [0.3, 0.0], [0.0, 0.9]],
-        [[0.2, 0.5], [0.8, 0.1], [0.0, 0.4]],
-        [[0.0, 0.3], [0.5, 0.3], [0.5, 0.4]],
-    )
-)
-PASS_SPECS = [
-    PostAlpha(0.3),
-    PostAB(0.9, 0.7),
-    MaryPost(1),
-    MaryPost(2),
-    MaryPost(4),
-    THREE_STATE_CUSTOM,
-    TWO_INPUT_CUSTOM,
-]
 
 
 @pytest.mark.parametrize("spec", PASS_SPECS)

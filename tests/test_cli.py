@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,21 @@ def test_table1_oversized_upper_bound_exits_2_before_solving(capsys):
         main(["table1", "--max-m", "16", "--upper-bound-max-m", "16"])
     assert exc.value.code == 2
     assert time.perf_counter() - start < 2.0
+    assert "cap" in capsys.readouterr().err
+
+
+def test_table1_oversized_step_tensor_exits_2_without_building_it(capsys):
+    # at n = 1, 1025^1 entries pass the cap but the step tensor, 1025^3
+    # entries (8.6 GB), does not; the check must not build it
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--n", "1", "--max-m", "1024", "--upper-bound-max-m", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 2**20
     assert "cap" in capsys.readouterr().err
 
 

@@ -7,7 +7,6 @@ import pytest
 from pytest import approx
 
 from postcap import (
-    CustomPost,
     MaryPost,
     PostAB,
     PostAlpha,
@@ -32,6 +31,8 @@ from postcap import optimize
 from postcap.channels import SingularChannelError
 from postcap.construction import feedback_policy
 from postcap.optimize import LOG_ZERO
+
+from channel_cases import PASS_SPECS
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
 
@@ -201,30 +202,7 @@ def _reference_open_loop(spec, n, s0, cfg):
     return p, value / math.log(2.0)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        PostAlpha(0.3),
-        PostAB(0.9, 0.7),
-        MaryPost(1),
-        MaryPost(2),
-        MaryPost(4),
-        CustomPost(
-            (
-                [[0.7, 0.0, 0.1], [0.3, 0.6, 0.0], [0.0, 0.4, 0.9]],
-                [[0.5, 0.1, 0.3], [0.3, 0.8, 0.1], [0.2, 0.1, 0.6]],
-                [[1.0, 0.3, 0.2], [0.0, 0.6, 0.2], [0.0, 0.1, 0.6]],
-            )
-        ),
-        CustomPost(
-            (
-                [[0.7, 0.1], [0.3, 0.0], [0.0, 0.9]],
-                [[0.2, 0.5], [0.8, 0.1], [0.0, 0.4]],
-                [[0.0, 0.3], [0.5, 0.3], [0.5, 0.4]],
-            )
-        ),
-    ],
-)
+@pytest.mark.parametrize("spec", PASS_SPECS)
 def test_open_loop_solver_matches_reference_ba(spec):
     cfg = OptimizerConfig(max_iterations=3000, kkt_tolerance=1e-8)
     for n in (1, 2, 3, 4):
@@ -248,6 +226,17 @@ def test_open_loop_solver_size_guard_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # the step tensor alone would hold 1025^3 and 513^3 entries (8.6 and
+    # 1.1 GB) although max(|X|, |Y|)^n is under the cap
+    for m, n in ((1024, 1), (512, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries"):
+                upper_bound(MaryPost(m), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     with pytest.raises(ValueError, match="positive"):
         maximize_mi_nofeedback(MaryPost(1), 0, 0)
     with pytest.raises(ValueError, match="out of range"):
