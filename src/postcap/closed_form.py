@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError, step_kernel
+from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError
 from .probability import binary_entropy
 
 DEGENERATE_EPS = 1e-9
+MARY_COARSE_POINTS = 201  # per axis of mary_feedback_capacity's first grid
+MARY_REFINE_TOL = 1e-8  # cell width at which its refinement stops
 
 
 def _alpha_powers(alpha):
@@ -130,24 +132,27 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
 def _h2(p):
     """Vectorized binary entropy in bits with the 0 log 0 = 0 convention."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
-    for q in (p, 1.0 - p):
-        mask = q > 0
-        out = out - np.where(mask, q * np.log2(q, where=mask, out=np.zeros_like(q)), 0.0)
-    return out
+    a, b = np.where(p > 0, p, 1.0), np.where(p < 1, 1.0 - p, 1.0)  # 1 log 1 = 0 for 0 log 0
+    return (0.0 - a * np.log2(a)) - b * np.log2(b)
 
 
 def mary_rate_objective(m, gamma, delta):
     """Per-use rate of the two-parameter stationary policy, in bits.
 
     gamma is the stay-at-state-m input weight used below state m, delta
-    the reset weight used at state m; both broadcast as arrays.
+    the reset weight used at state m; both broadcast as arrays.  Each entropy
+    term depends on one of them, so on a column of gammas and a row of deltas
+    it is computed once per axis value.
     """
     gamma = np.asarray(gamma, dtype=float)
     delta = np.asarray(delta, dtype=float)
     lead = 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
-    denom = 2.0 * delta + 1.0 + gamma
-    return (2.0 * delta / denom) * lead + ((1.0 + gamma) / denom) * _h2(delta)
+    denom = np.asarray(2.0 * delta + 1.0 + gamma)  # an array, so its buffer can be reused
+    rate = 2.0 * delta / denom
+    rate *= lead
+    reset = np.divide(1.0 + gamma, denom, out=denom)
+    rate += np.multiply(reset, _h2(delta), out=reset)
+    return rate
 
 
 def mary_state_policy(m, gamma, delta):
@@ -162,12 +167,10 @@ def mary_state_policy(m, gamma, delta):
 
 def mary_output_chain(m, gamma, delta):
     """Column-stochastic transition matrix of the induced output chain."""
-    spec = MaryPost(m)
+    mats = MaryPost(m).class_matrices
     pol = mary_state_policy(m, gamma, delta)
-    chain = np.zeros((m + 1, m + 1))
-    for s in range(m + 1):
-        chain[:, s] = step_kernel(spec, s) @ pol[s]
-    return chain
+    # the m states below m share one matrix and one policy row
+    return np.column_stack([mats[0] @ pol[0]] * m + [mats[m] @ pol[m]])
 
 
 def mary_stationary_distribution(m, gamma, delta):
@@ -182,28 +185,24 @@ def mary_stationary_distribution(m, gamma, delta):
     return pi
 
 
-def mary_feedback_capacity(m, coarse=201, refine_tol=1e-8) -> MaryFeedbackSolution:
+def mary_feedback_capacity(m) -> MaryFeedbackSolution:
     """Maximize the stationary-policy rate over (gamma, delta) in [0,1]^2.
 
-    Deterministic coarse grid followed by local grid refinement down to
-    refine_tol in each coordinate.
+    Coarse grid, then local refinement down to MARY_REFINE_TOL in each
+    coordinate; each grid is evaluated on its axes, gammas as a column.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    grid = np.linspace(0.0, 1.0, coarse)
-    gg, dd = np.meshgrid(grid, grid, indexing="ij")
-    vals = mary_rate_objective(m, gg, dd)
-    best = np.unravel_index(np.argmax(vals), vals.shape)
-    g, d = gg[best], dd[best]
-    width = grid[1] - grid[0]
-    while width > refine_tol:
+    gs = ds = np.linspace(0.0, 1.0, MARY_COARSE_POINTS)
+    width = gs[1] - gs[0]
+    while True:
+        i, j = divmod(int(np.argmax(mary_rate_objective(m, gs[:, None], ds))), ds.size)
+        g, d = float(gs[i]), float(ds[j])
+        if width <= MARY_REFINE_TOL:
+            break
         width /= 8.0
         gs = np.clip(np.linspace(g - 8 * width, g + 8 * width, 33), 0.0, 1.0)
         ds = np.clip(np.linspace(d - 8 * width, d + 8 * width, 33), 0.0, 1.0)
-        gg, dd = np.meshgrid(gs, ds, indexing="ij")
-        vals = mary_rate_objective(m, gg, dd)
-        best = np.unravel_index(np.argmax(vals), vals.shape)
-        g, d = float(gg[best]), float(dd[best])
     return MaryFeedbackSolution(
         m=m,
         gamma_star=g,

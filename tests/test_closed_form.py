@@ -25,7 +25,7 @@ from postcap import (
     post_alpha_capacity,
     step_kernel,
 )
-from postcap.closed_form import mary_rate_objective
+from postcap.closed_form import _h2, mary_rate_objective
 
 
 def test_post_alpha_half():
@@ -144,13 +144,68 @@ def test_mary_argmax_in_unit_square():
 
 
 def test_mary_stationary_distribution_balance():
-    for m in (1, 2, 4, 16):
+    for m in (1, 2, 4, 16, 1024):
         sol = mary_feedback_capacity(m)
         pi = sol.stationary_pi
         assert pi.sum() == approx(1.0, abs=1e-10)
         assert pi.min() > 0
         chain = mary_output_chain(m, sol.gamma_star, sol.delta_star)
         assert np.abs(chain @ pi - pi).max() < 1e-10
+
+
+def _mary_meshgrid_search(m):
+    """The grid search on full meshgrid arrays: 201 points per axis, then 33
+    x 33 refinements shrinking the cell eightfold down to 1e-8."""
+    grid = np.linspace(0.0, 1.0, 201)
+    gg, dd = np.meshgrid(grid, grid, indexing="ij")
+    vals = mary_rate_objective(m, gg, dd)
+    best = np.unravel_index(np.argmax(vals), vals.shape)
+    g, d = gg[best], dd[best]
+    width = grid[1] - grid[0]
+    while width > 1e-8:
+        width /= 8.0
+        gs = np.clip(np.linspace(g - 8 * width, g + 8 * width, 33), 0.0, 1.0)
+        ds = np.clip(np.linspace(d - 8 * width, d + 8 * width, 33), 0.0, 1.0)
+        gg, dd = np.meshgrid(gs, ds, indexing="ij")
+        vals = mary_rate_objective(m, gg, dd)
+        best = np.unravel_index(np.argmax(vals), vals.shape)
+        g, d = float(gg[best]), float(dd[best])
+    return g, d, float(mary_rate_objective(m, g, d)), mary_stationary_distribution(m, g, d)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 100, 1000, 1024])
+def test_mary_axis_search_equals_meshgrid_search(m):
+    sol = mary_feedback_capacity(m)
+    g, d, cap, pi = _mary_meshgrid_search(m)
+    assert (sol.gamma_star, sol.delta_star, sol.capacity_bits) == (g, d, cap)
+    assert np.array_equal(sol.stationary_pi, pi)
+
+
+def test_mary_objective_on_axes_equals_meshgrid():
+    rng = np.random.default_rng(5)
+    g = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)])
+    d = np.concatenate([[1.0, 0.0], rng.uniform(0.0, 1.0, 30)])
+    for m in (1, 3, 1024):
+        grid = mary_rate_objective(m, *np.meshgrid(g, d, indexing="ij"))
+        axes = mary_rate_objective(m, g[:, None], d)
+        assert axes.shape == grid.shape
+        assert np.array_equal(axes, grid)
+
+
+def test_binary_entropy_terms_exact_and_warning_free_at_endpoints():
+    axis = np.linspace(0.0, 1.0, 11)
+    with np.errstate(all="raise"):
+        h = _h2(axis)
+        ends = _h2(np.array([0.0, 1.0]))
+        scalar_ends = (_h2(0.0), _h2(1.0))
+        rates = mary_rate_objective(4, axis[:, None], axis)
+    assert np.isfinite(h).all() and np.isfinite(rates).all()
+    assert ends.tolist() == [0.0, 0.0] and scalar_ends == (0.0, 0.0)
+    assert not np.signbit(ends).any() and not np.signbit(scalar_ends).any()  # +0.0, not -0.0
+    assert h[0] == 0.0 and h[-1] == 0.0 and h[5] == approx(1.0, abs=1e-15)
+    assert h == approx([binary_entropy(p) for p in axis], abs=1e-15)
+    # gamma = 1 or delta = 0 stops the chain at state m, whose reset carries nothing
+    assert rates[-1, 0] == 0.0 and rates[0, 0] == 0.0
 
 
 def test_mary_objective_equals_stationary_rate():
