@@ -28,6 +28,12 @@ class SingularChannelError(ValueError):
     """The sequence-level channel matrix has no inverse."""
 
 
+def _check_entries(what, entries):
+    """Raise ValueError before an array of more than DENSE_ENTRY_CAP entries is built."""
+    if entries > DENSE_ENTRY_CAP:
+        raise ValueError(f"{what} would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
+
+
 class _StateMatrices:
     """A channel as data: one column-stochastic matrix per state class.
 
@@ -179,9 +185,7 @@ def _block_matrix(coeffs, state_classes, n, target, by_column=False):
     raises before anything is allocated.
     """
     rows, cols = next(iter(coeffs.values())).shape
-    entries = rows**n * cols**n
-    if entries > DENSE_ENTRY_CAP:
-        raise ValueError(f"dense matrix would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
+    _check_entries("dense matrix", rows**n * cols**n)
     # (i, j, C_c[i, j], class whose lower-level matrix fills block (i, j))
     terms = {
         cls: [
@@ -212,8 +216,7 @@ def _vector_levels(coeffs, n):
     DENSE_ENTRY_CAP entries at level n raises before the first product.
     """
     k, r, _ = coeffs.shape
-    if r**n > DENSE_ENTRY_CAP:
-        raise ValueError(f"vector would hold {r**n} entries (cap {DENSE_ENTRY_CAP})")
+    _check_entries("vector", r**n)
     stacked = coeffs.reshape(k * r, k)
     levels = np.ones((k, 1))
     for _ in range(n):
@@ -235,9 +238,7 @@ def _check_pass_size(spec, n, s0):
     if not 0 <= s0 < k:
         raise ValueError(f"initial state {s0} out of range")
     x = input_alphabet(spec)
-    entries = max(max(k, x) ** n, k * k * x)
-    if entries > DENSE_ENTRY_CAP:
-        raise ValueError(f"channel pass would hold {entries} entries (cap {DENSE_ENTRY_CAP})")
+    _check_entries("channel pass", max(max(k, x) ** n, k * k * x))
 
 
 def _channel_steps(spec, n, s0):

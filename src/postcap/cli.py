@@ -19,7 +19,14 @@ import warnings
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha, _check_pass_size, build_sequence_kernel
+from .channels import (
+    MaryPost,
+    PostAB,
+    PostAlpha,
+    _check_entries,
+    _check_pass_size,
+    build_sequence_kernel,
+)
 from .closed_form import (
     binary_dmc_capacity,
     closed_form_solution,
@@ -92,7 +99,8 @@ def cmd_capacity(parser, args):
     print(f"numeric_gap: {gap:.3e}")
     print(f"kkt_passed: {report.passed}")
     print(f"kkt_implied_capacity_bits: {report.implied_capacity:.6f}")
-    return 0 if (gap <= args.tol and report.passed) else 1
+    # strict, so that --tol 0 fails even where the solver meets the closed form to the bit
+    return 0 if (gap < args.tol and report.passed) else 1
 
 
 def _table1_rows(args):
@@ -102,8 +110,9 @@ def _table1_rows(args):
         ms.append(m)
         m *= 2
     bounded = [m for m in ms if m <= args.upper_bound_max_m]
+    # the largest m raises here if it is too large, before any row is solved
+    _check_entries("stationary law", max(ms, default=0) + 1)
     if bounded:
-        # the largest channel raises here if it is too large, before any row is solved
         _check_pass_size(MaryPost(bounded[-1]), args.n, 0)
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
 
@@ -160,6 +169,7 @@ def cmd_table1(parser, args):
 def cmd_sweep(parser, args):
     if args.points < 2:
         parser.error("--points must be at least 2")
+    _check_entries("sweep", args.points if args.target == "alpha" else args.points**2)
     grid = np.linspace(0.0, 1.0, args.points)
     if args.target == "alpha":
         lines = ["alpha,capacity_bits"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError
+from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError, _check_entries
 from .probability import binary_entropy
 
 DEGENERATE_EPS = 1e-9
@@ -177,6 +177,7 @@ def mary_stationary_distribution(m, gamma, delta):
     """Stationary law of the induced output chain (gamma < 1, delta > 0)."""
     if not (0.0 <= gamma < 1.0 and 0.0 < delta <= 1.0):
         raise ValueError("requires gamma in [0, 1) and delta in (0, 1]")
+    _check_entries("stationary law", m + 1)
     coeff = delta * (1.0 - gamma) / (m * (2.0 * delta + 1.0 + gamma))
     pi = np.empty(m + 1)
     pi[0] = coeff * ((m - 1) * gamma + m + 1) / (1.0 - gamma)

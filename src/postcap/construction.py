@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha, _inverse_class_matrices, _vector_levels
+from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
 from .probability import SequencePmf, StepPolicy, binary_entropy
 
@@ -239,6 +239,7 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
     """
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
+    _check_entries("inequality grid", grid_size**2)
     report = InequalityReport(grid_size, slack)
 
     alphas = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
@@ -299,10 +300,17 @@ def feedback_policy(spec, n, s0) -> StepPolicy:
     base = closed_form_solution(spec, markov=True).input_pmf
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    by_state = np.array([base, base[::-1]])
-    steps = [by_state[s0].reshape(1, 1, 2)]
-    for i in range(2, n + 1):
-        last = np.arange(2 ** (i - 1)) % 2  # least-significant symbol of y^{i-1}
-        step = by_state[last].reshape(1, 2 ** (i - 1), 2)
-        steps.append(np.broadcast_to(step, (2 ** (i - 1), 2 ** (i - 1), 2)).copy())
-    return StepPolicy(2, 2, n, 1, tuple(steps))
+    return _output_state_policy([np.array([base, base[::-1]])] * n, s0)
+
+
+def _output_state_policy(laws, s0) -> StepPolicy:
+    """StepPolicy of the feedback policy whose step i draws from laws[i-1][previous output].
+
+    Each law has shape (states, inputs); step 1 is in state s0.
+    """
+    k, x = laws[0].shape
+    steps = [laws[0][s0].reshape(1, 1, x)]
+    for i, law in enumerate(laws[1:], start=1):
+        last = np.arange(k**i) % k  # least-significant symbol of y^i
+        steps.append(np.broadcast_to(law[last], (x**i, k**i, x)).copy())
+    return StepPolicy(x, k, len(laws), 1, tuple(steps))

@@ -1,27 +1,17 @@
 """Maximization of directed information and its optimality certificates.
 
-Two solvers are provided.  The feedback solver alternates between an
-exact posterior update and an exact maximization of the surrogate
-objective over the causal-input polyhedron; the latter is a backward
-softmax recursion over input/output histories, so every iterate is a
-valid causal kernel and the objective never decreases.  The open-loop
-solver is the classic alternating maximization over plain input pmfs;
-it never builds the channel matrix, but follows the channel one
-position at a time for q = W p and for the divergences of W from q.
-
-The feedback solver prepares the channel once per solve: w, the sum of
-the channel over the last output, and cl, the sum of chan ln chan over
-it.  Each iteration then makes one log pass over the output law,
-p(y^n) and S = sum_{y_n} chan ln p(y^n), which serves the objective
-(<kin, cl> - sum p ln p), the certificate (gradient t = cl - S - w) and
-the softmax step (utility (cl - S)/w + ln kin).
+The feedback solver is exact.  The channel's state is the previous
+output, which the encoder learns through the feedback, so the best
+directed information over n uses is an n-stage dynamic program over the
+output state (Chen & Berger, IEEE T-IT 51(3), 2005; Permuter, Cuff,
+Van Roy & Weissman, IEEE T-IT 54(7), 2008).  The open-loop solver
+maximizes over plain input pmfs matrix-free, one channel position at a
+time for q = W p and for the divergences of W from q.  Both run the same
+Blahut-Arimoto update.
 
 Certificates: a first-order report with one multiplier per output
-context.  The inner expressions and the multipliers are computed in
-nats; the implied capacity (sum of multipliers plus one) is converted
-to bits once at the end.  Each iteration computes only the pass/fail
-diagnostics; the full report, with its multiplier map, is built for the
-returned kernel alone, by the same certificate path kkt_check runs.
+context, in nats from one log pass over the dense channel's output law;
+the implied capacity (sum of multipliers plus one) is in bits.
 """
 
 import math
@@ -36,21 +26,17 @@ from .channels import (
     _forward_pass,
     build_sequence_kernel,
     initial_states,
-    input_alphabet,
     invert_sequence_kernel,
-    output_alphabet,
 )
 from .closed_form import closed_form_solution
-from .construction import output_markov_pmf
+from .construction import _output_state_policy, output_markov_pmf
 from .directed_info import directed_information
 from .probability import (
     CausalKernel,
     SequencePmf,
-    StepPolicy,
     compose_causal,
     index_sequence,
     open_loop_kernel,
-    random_policy,
 )
 
 LN2 = math.log(2.0)
@@ -58,9 +44,15 @@ LN2 = math.log(2.0)
 # Input-kernel entries above this count as supported in the certificate.
 SUPPORT_THRESHOLD = 1e-8
 
-# Stand-in for log(0) when forming softmax utilities; large enough to
-# zero the branch, small enough to avoid inf - inf.
+# Stand-in for log(0) in the Blahut-Arimoto update; large enough to
+# zero the input, small enough to avoid inf - inf.
 LOG_ZERO = -1e3
+
+# Arimoto gaps (nats) of a feedback stage problem: Blahut-Arimoto down to
+# BA_GAP, Newton steps down to STAGE_GAP.  A looser STAGE_GAP leaves a zero
+# optimal weight above SUPPORT_THRESHOLD (MaryPost(4): 2e-5 at 1e-7).
+BA_GAP = 1e-3
+STAGE_GAP = 1e-12
 
 
 def logsumexp(a, axis=None):
@@ -78,22 +70,22 @@ def logsumexp(a, axis=None):
 
 @dataclass
 class OptimizerConfig:
-    """Iteration budget and tolerances shared by both solvers.
+    """Iteration budget, tolerance and start of the solvers.
 
-    kkt_tolerance is in nats and bounds both certificate violations (and
-    the Gallager residual of the open-loop solver).
+    max_iterations bounds the open-loop solve and each feedback stage problem.
+    kkt_tolerance (nats) bounds both certificate violations and the open-loop Gallager residual.
+    initialization and seed pick the open-loop start; the feedback solver ignores them.
     """
 
     max_iterations: int = 5000
     kkt_tolerance: float = 1e-6
-    objective_tolerance: float = 1e-14
     initialization: str = "uniform"
     seed: int = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.kkt_tolerance <= 0 or self.objective_tolerance <= 0:
+        if self.kkt_tolerance <= 0:
             raise ValueError("tolerances must be positive")
         if self.initialization not in ("uniform", "random"):
             raise ValueError("initialization must be 'uniform' or 'random'")
@@ -277,106 +269,95 @@ def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
     return _with_beta(*_certificate(ch, kin, py, s, tol), ch)
 
 
-def _channel_step_conditionals(chan, x_alph, y_alph, n):
-    """Per-step p(y_k | y^{k-1}, x^k) tables for k = 1..n-1.
+def _ba_step(p, divergences):
+    """One Blahut-Arimoto update p <- p exp(divergences) / Z, in the log domain."""
+    log_p = np.where(p > 0, np.log(p, where=p > 0, out=np.zeros_like(p)), LOG_ZERO)
+    log_p += divergences
+    log_p -= logsumexp(log_p)
+    return np.exp(log_p)
 
-    prefix[k] is the length-k channel kernel obtained by summing output
-    tails; its value does not depend on the input tail, so one column
-    per input prefix is kept.
+
+def _newton_step(mat, p, q, d, value):
+    """Newton step toward equal d on the support face, with a ratio test.
+
+    The best input joins once its excess over the value is twice the
+    support's.  A 1e-10 relative shift of the Hessian lets the step follow
+    a direction in which W p stays put (equal columns, more inputs than
+    outputs) to the boundary, where the input leaves the face, unless it is
+    the only supported input to reach some output: such an input has a
+    positive optimal weight, and the step stops halfway to its zero.
     """
-    prefix = [None] * (n + 1)
-    prefix[n] = chan
-    for k in range(n, 0, -1):
-        reduced = prefix[k].reshape(y_alph ** (k - 1), y_alph, x_alph**k).sum(axis=1)
-        prefix[k - 1] = reduced.reshape(y_alph ** (k - 1), x_alph ** (k - 1), x_alph)[:, :, 0]
-    levels = []
-    for k in range(1, n):
-        num = prefix[k].reshape(y_alph ** (k - 1), y_alph, x_alph**k)
-        den = np.repeat(prefix[k - 1], x_alph, axis=1)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        levels.append(cond)
-    return levels
+    face = p > 0
+    if 2.0 * (d[face].max() - value) < d.max() - value:
+        face[d.argmax()] = True
+    live, k = mat[q > 0][:, face], face.sum()
+    hess = (live / q[q > 0, None]).T @ live
+    system = np.block([[hess + 1e-10 * hess.max() * np.eye(k), np.ones((k, 1))], [np.ones(k), 0.0]])
+    step = np.zeros_like(p)
+    step[face] = np.linalg.solve(system, np.append(d[face], 0.0))[:-1]
+    reach = (mat > 0) & (p > 0)
+    sole = reach[reach.sum(axis=1) == 1].any(axis=0)
+    ratios = np.divide(p, -step, out=np.full_like(p, np.inf), where=step < 0)
+    ratios[sole] /= 2.0
+    p = np.maximum(p + min(1.0, ratios.min()) * step, 0.0)
+    if ratios.min() <= 1.0 and not sole[ratios.argmin()]:
+        p[ratios.argmin()] = 0.0
+    return p / p.sum()
 
 
-def _surrogate_input_step(ch, kin, s, step_conds):
-    """Exact maximizer of the surrogate objective for a fixed posterior.
+def _stage_law(mat, bonus, max_iterations):
+    """Input law maximizing sum_x p(x) [D(W(.|x) || W p) + bonus(x)], and the maximum (nats).
 
-    The utility of each history is the posterior-weighted log posterior,
-    (cl - S)/w + ln kin, with LOG_ZERO where kin = 0 and 0 where the
-    context is unreachable (w = 0); the resulting softmax recursion is
-    solved backwards and the composed causal kernel returned.
+    mat is W, rows y.  Blahut-Arimoto runs until the Arimoto gap first falls
+    to BA_GAP; Newton steps, which alone readmit a dropped input, then take
+    it to STAGE_GAP.  Both count against max_iterations.
     """
-    x_alph, y_alph, n = ch.kernel.in_alphabet, ch.kernel.out_alphabet, ch.kernel.n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(kin > 0, (ch.cl - s) / ch.w + np.log(kin), LOG_ZERO)
-    util = np.where(ch.w > 0, util, 0.0)
-
-    steps = [None] * n
-    for i in range(n, 0, -1):
-        shaped = util.reshape(x_alph ** (i - 1), x_alph, y_alph ** (i - 1))
-        value = logsumexp(shaped, axis=1)
-        steps[i - 1] = np.exp(shaped - value[:, None, :]).transpose(0, 2, 1)
-        if i > 1:
-            cond = step_conds[i - 2]  # (Y^(i-2), Y, X^(i-1))
-            v_shaped = value.reshape(x_alph ** (i - 1), y_alph ** (i - 2), y_alph)
-            util = (cond.transpose(2, 0, 1) * v_shaped).sum(axis=2)
-    policy = StepPolicy(x_alph, y_alph, n, 1, tuple(steps))
-    return compose_causal(policy).values
-
-
-def _initial_kernel(spec, n, cfg):
-    x_alph = input_alphabet(spec)
-    y_alph = output_alphabet(spec)
-    if cfg.initialization == "uniform":
-        values = np.full((x_alph**n, y_alph ** (n - 1)), x_alph ** (-float(n)))
-        return CausalKernel(x_alph, y_alph, n, 1, values)
-    return compose_causal(random_policy(x_alph, y_alph, n, 1, np.random.default_rng(cfg.seed)))
+    ent = (mat * np.log(mat, where=mat > 0, out=np.zeros_like(mat))).sum(axis=0)
+    p, newton = np.full(mat.shape[1], 1.0 / mat.shape[1]), False
+    for _ in range(max_iterations):
+        q = mat @ p
+        d = ent - np.log(q, where=q > 0, out=np.zeros_like(q)) @ mat + bonus
+        value = float(p @ d)
+        gap = float(d.max()) - value
+        if gap <= STAGE_GAP and value - d[p > 0].min() <= STAGE_GAP:
+            break
+        newton = newton or gap <= BA_GAP
+        p = _newton_step(mat, p, q, d, value) if newton else _ba_step(p, d)
+    return p, value
 
 
 def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     """Maximize directed information over causal input kernels.
 
-    Returns (kernel, value in bits, certificate).  Iterates until the
-    certificate passes at cfg.kkt_tolerance; if the iteration budget is
-    exhausted the best iterate is returned with its failing certificate.
-    The certificate equals kkt_check of the returned kernel.
+    Returns (kernel, value in bits, certificate).  The kernel is the DP's
+    Markov policy: in state s = y_(i-1), r stages before the end, x is drawn
+    from the law attaining (V_0 = 0, one problem per state class)
+    V_r(s) = max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) V_(r-1)(y)].
+    The certificate is kkt_check's at cfg.kkt_tolerance; a warning is issued
+    if it fails.  cfg.initialization and cfg.seed are not read.
     """
     cfg = cfg or OptimizerConfig()
-    ch = _prepare_channel(spec, n, s0)
-    x_alph, y_alph = ch.kernel.in_alphabet, ch.kernel.out_alphabet
-    step_conds = _channel_step_conditionals(ch.kernel.values, x_alph, y_alph, n)
-
-    kin = _initial_kernel(spec, n, cfg).values
-    best = (-math.inf, kin, None, None)
-    prev = -math.inf
-    stall = 0
-    for _ in range(cfg.max_iterations):
-        py, ln_py, s = _log_pass(ch, kin)
-        value = (float(np.vdot(kin, ch.cl)) - float(np.vdot(py, ln_py))) / LN2
-        if -1e-12 < value < 0.0:
-            value = 0.0
-        if value < prev - 1e-11:
-            raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")
-        report, beta = _certificate(ch, kin, py, s, cfg.kkt_tolerance)
-        if value > best[0]:
-            best = (value, kin, report, beta)
-        if report.passed:
-            kernel = CausalKernel(x_alph, y_alph, n, 1, kin)
-            return kernel, value, _with_beta(report, beta, ch)
-        stall = stall + 1 if abs(value - prev) < cfg.objective_tolerance else 0
-        if stall >= 25:
-            break
-        prev = value
-        kin = _surrogate_input_step(ch, kin, s, step_conds)
-
-    value, kin, report, beta = best
-    warnings.warn(
-        f"feedback solver stopped without a passing certificate "
-        f"(support violation {report.max_violation_support:.3e}, "
-        f"off-support violation {report.max_violation_offsupport:.3e})"
-    )
-    return CausalKernel(x_alph, y_alph, n, 1, kin), value, _with_beta(report, beta, ch)
+    ch = _prepare_channel(spec, n, s0)  # raises on its size before the policy is composed
+    classes, mats = spec.state_classes, spec.class_matrices
+    values, laws = np.zeros(len(classes)), []
+    for _ in range(n):
+        solved = {c: _stage_law(w, values @ w, cfg.max_iterations) for c, w in mats.items()}
+        values = np.array([solved[c][1] for c in classes])
+        laws.insert(0, np.array([solved[c][0] for c in classes]))
+    kernel = compose_causal(_output_state_policy(laws, s0))
+    kin = kernel.values
+    py, ln_py, s = _log_pass(ch, kin)
+    value = (float(np.vdot(kin, ch.cl)) - float(np.vdot(py, ln_py))) / LN2
+    if -1e-12 < value < 0.0:
+        value = 0.0
+    report, beta = _certificate(ch, kin, py, s, cfg.kkt_tolerance)
+    if not report.passed:
+        warnings.warn(
+            f"feedback solver stopped without a passing certificate "
+            f"(support violation {report.max_violation_support:.3e}, "
+            f"off-support violation {report.max_violation_offsupport:.3e})"
+        )
+    return kernel, value, _with_beta(report, beta, ch)
 
 
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
@@ -414,10 +395,7 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
         if float(divergences.max()) - value <= cfg.kkt_tolerance:
             converged = True
             break
-        log_p = np.where(p > 0, np.log(p, where=p > 0, out=np.zeros_like(p)), LOG_ZERO)
-        log_p += divergences
-        log_p -= logsumexp(log_p)
-        p = np.exp(log_p)
+        p = _ba_step(p, divergences)
     if not converged:
         warnings.warn(
             f"open-loop solver hit the iteration cap with residual "

@@ -26,11 +26,12 @@ def test_capacity_mary(capsys):
 
 
 def test_capacity_numeric_check(capsys):
-    code = main(["capacity", "post-alpha", "--alpha", "0.5", "--numeric-check", "--n", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "kkt_passed: True" in out
-    assert "numeric_gap:" in out
+    for target in (["post-alpha", "--alpha", "0.5", "--n", "2"], ["mary", "--m", "4", "--n", "3"]):
+        code = main(["capacity", *target, "--numeric-check"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "kkt_passed: True" in out
+        assert "numeric_gap:" in out
 
 
 def test_capacity_rejects_bad_parameter():
@@ -141,6 +142,29 @@ def test_table1_oversized_step_tensor_exits_2_without_building_it(capsys):
     assert exc.value.code == 2
     assert peak < 2**20
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 2 GiB stationary law for the largest m, 6.7 GiB of (a, b) grid,
+        # 4e8 CSV lines
+        ["table1", "--max-m", "268435456", "--upper-bound-max-m", "0"],
+        ["verify", "inequalities", "--grid", "30000"],
+        ["sweep", "ab", "--points", "20000"],
+    ],
+)
+def test_oversized_request_exits_2_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 2**20
+    assert "entries (cap 1048576)" in capsys.readouterr().err
 
 
 def test_table1_upper_bound_reaches_m8(capsys):

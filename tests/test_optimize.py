@@ -32,7 +32,7 @@ from postcap.channels import SingularChannelError
 from postcap.construction import feedback_policy
 from postcap.optimize import LOG_ZERO
 
-from channel_cases import PASS_SPECS
+from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
 
@@ -94,7 +94,7 @@ def test_solver_reports_nonconvergence():
 
 def test_solver_report_is_certificate_of_its_kernel():
     # the solver and kkt_check share one certificate path, so the reports
-    # are equal field by field, also for the best iterate of a budget stop
+    # are equal field by field, also for the kernel of a budget stop
     random = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7, initialization="random", seed=7)
     budget = OptimizerConfig(max_iterations=3, kkt_tolerance=1e-12)
     cases = [
@@ -102,6 +102,13 @@ def test_solver_report_is_certificate_of_its_kernel():
         (PostAB(0.9, 0.7), 4, 1, TIGHT),
         (MaryPost(3), 2, 0, random),
         (PostAlpha(0.5), 3, 0, budget),
+        # an optimal input weight of zero with a zero derivative (MaryPost(4),
+        # every state) and the slow strip a + b - 1 < 0.15 certify too
+        *((MaryPost(4), n, s0, TIGHT) for n in (1, 2, 3) for s0 in range(5)),
+        (PostAB(0.6, 0.5), 8, 0, TIGHT),
+        (PostAB(0.6685, 0.4321), 3, 0, TIGHT),
+        (PostAB(0.6685, 0.4321), 3, 1, TIGHT),
+        *((spec, n, s0, TIGHT) for spec, n, s0 in STAGE_EDGE_CASES),
     ]
     for spec, n, s0, cfg in cases:
         with warnings.catch_warnings():
