@@ -36,7 +36,13 @@ from .closed_form import (
 )
 from .construction import _open_loop_input, inequality_sweep, output_markov_pmf
 from .directed_info import concavity_probe
-from .optimize import OptimizerConfig, maximize_di_feedback, open_loop_match, upper_bound
+from .optimize import (
+    IterationCapWarning,
+    OptimizerConfig,
+    maximize_di_feedback,
+    open_loop_match,
+    upper_bound,
+)
 from .probability import compose_causal, random_policy
 from .tolerances import _read_key_values, tolerances
 
@@ -103,7 +109,20 @@ def cmd_capacity(parser, args):
     return 0 if (gap < args.tol and report.passed) else 1
 
 
+def _capped_upper_bound(m, n, cfg):
+    """upper_bound(MaryPost(m), n) and the largest residual (nats) of its solves stopped at the cap.
+
+    The residual is None when every solve certified.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IterationCapWarning)
+        ub = upper_bound(MaryPost(m), n, cfg)
+    residuals = [w.message.residual for w in caught if issubclass(w.category, IterationCapWarning)]
+    return ub, max(residuals, default=None)
+
+
 def _table1_rows(args):
+    """Rows (m, upper bound or None, its cap residual or None, scheme rate, feedback capacity)."""
     ms = []
     m = 1
     while m <= args.max_m:
@@ -119,7 +138,7 @@ def _table1_rows(args):
     return [
         (
             m,
-            upper_bound(MaryPost(m), args.n, cfg) if m in bounded else None,
+            *(_capped_upper_bound(m, args.n, cfg) if m in bounded else (None, None)),
             mary_scheme_rate(m),
             mary_feedback_capacity(m).capacity_bits,
         )
@@ -131,7 +150,7 @@ def cmd_table1(parser, args):
     rows = _table1_rows(args)
     if args.format == "csv":
         lines = ["m,upper_bound,scheme_rate,feedback_capacity"]
-        for m, ub, rate, fb in rows:
+        for m, ub, _, rate, fb in rows:
             ub_txt = "" if ub is None else f"{ub:.6f}"
             lines.append(f"{m},{ub_txt},{rate:.6f},{fb:.6f}")
         _write(args.out, "\n".join(lines) + "\n")
@@ -143,13 +162,20 @@ def cmd_table1(parser, args):
                 "scheme_rate": round(rate, 6),
                 "feedback_capacity": round(fb, 6),
             }
-            for m, ub, rate, fb in rows
+            for m, ub, _, rate, fb in rows
         ]
         _write(args.out, json.dumps(payload, indent=2) + "\n")
     if not args.check:
         return 0
     ok = True
-    for m, ub, rate, fb in rows:
+    for m, ub, capped, rate, fb in rows:
+        if capped is not None:
+            print(
+                f"check failed: m={m} upper-bound solve stopped at the iteration cap "
+                f"(residual {capped:.3e} nats)",
+                file=sys.stderr,
+            )
+            ok = False
         ref = TABLE1_REFERENCE.get(m)
         if ref is None:
             continue

@@ -7,7 +7,8 @@ output state (Chen & Berger, IEEE T-IT 51(3), 2005; Permuter, Cuff,
 Van Roy & Weissman, IEEE T-IT 54(7), 2008).  The open-loop solver
 maximizes over plain input pmfs matrix-free, one channel position at a
 time for q = W p and for the divergences of W from q.  Both run the same
-Blahut-Arimoto update.
+Blahut-Arimoto update; the open-loop solver over-relaxes it and falls
+back to the plain step whenever an over-relaxed one lowers the objective.
 
 Certificates: a first-order report with one multiplier per output
 context, in nats from one log pass over the dense channel's output law;
@@ -54,6 +55,10 @@ LOG_ZERO = -1e3
 BA_GAP = 1e-3
 STAGE_GAP = 1e-12
 
+# Largest multiplier of the open-loop solver's over-relaxed step
+# p <- p exp(mu D) / Z (Matz & Duhamel, ITW 2004).
+MU_MAX = 64.0
+
 
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) over axis (all entries when None), shifted by the maximum.
@@ -72,7 +77,8 @@ def logsumexp(a, axis=None):
 class OptimizerConfig:
     """Iteration budget, tolerance and start of the solvers.
 
-    max_iterations bounds the open-loop solve and each feedback stage problem.
+    max_iterations bounds the open-loop solve and each feedback stage problem;
+    the open-loop solver counts channel passes, rejected steps included.
     kkt_tolerance (nats) bounds both certificate violations and the open-loop Gallager residual.
     initialization and seed pick the open-loop start; the feedback solver ignores them.
     """
@@ -360,14 +366,31 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     return kernel, value, _with_beta(report, beta, ch)
 
 
+class IterationCapWarning(UserWarning):
+    """An open-loop solve stopped at max_iterations; residual is its last Arimoto gap (nats)."""
+
+    def __init__(self, residual):
+        super().__init__(
+            f"open-loop solver hit the iteration cap with residual {residual:.3e} nats"
+        )
+        self.residual = residual
+
+
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     """Maximize I(X^n; Y^n | s0) over plain input pmfs.
 
-    Classic alternating maximization through the matrix-free channel
-    passes; the stopping rule bounds the one-shot optimality residual
-    (difference between the largest per-input divergence and the
-    achieved value) by cfg.kkt_tolerance nats.  Returns (pmf, value in
-    bits).
+    Safeguarded over-relaxed Blahut-Arimoto through the matrix-free
+    channel passes: p <- p exp(mu D) / Z, with D the per-input
+    divergences.  mu starts at 1 and doubles after each step from a kept
+    iterate, up to MU_MAX.  A step with mu > 1 that lowers the objective
+    is rejected: the plain step (mu = 1, which never lowers it) is taken
+    from the last kept iterate instead, and mu starts again at 1.  The
+    stopping rule bounds the one-shot optimality residual (difference
+    between the largest per-input divergence and the achieved value, an
+    upper bound on the capacity gap whatever the step) by
+    cfg.kkt_tolerance nats.  Returns (pmf, value in bits) of the last
+    kept iterate; IterationCapWarning is issued if the budget of
+    cfg.max_iterations channel passes runs out first.
     """
     cfg = cfg or OptimizerConfig()
     steps, ent = _channel_steps(spec, n, s0)
@@ -381,27 +404,29 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     else:
         p = np.full(size, 1.0 / size)
 
-    prev = -math.inf
-    value = 0.0
+    # mu is the multiplier of the next step from a kept iterate; over
+    # records whether p came from a step with mu > 1
+    mu, over, prev = 1.0, False, -math.inf
     converged = False
     for _ in range(cfg.max_iterations):
         q = _forward_pass(steps, s0, n, p)
         ln_q = np.log(q, where=q > 0, out=np.zeros_like(q))
         divergences = _backward_pass(steps, ent, s0, n, ln_q)
         value = float(p @ divergences)
+        if over and value < prev:
+            p, mu, over = _ba_step(kept, kept_divergences), 1.0, False
+            continue
         if value < prev - 1e-11:
             raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")
-        prev = value
+        kept, kept_divergences, prev = p, divergences, value
         if float(divergences.max()) - value <= cfg.kkt_tolerance:
             converged = True
             break
-        p = _ba_step(p, divergences)
+        p, over = _ba_step(p, mu * divergences), mu > 1.0
+        mu = min(2.0 * mu, MU_MAX)
     if not converged:
-        warnings.warn(
-            f"open-loop solver hit the iteration cap with residual "
-            f"{float(divergences.max()) - value:.3e} nats"
-        )
-    return SequencePmf(x_alph, n, p), value / LN2
+        warnings.warn(IterationCapWarning(float(kept_divergences.max()) - prev))
+    return SequencePmf(x_alph, n, kept), prev / LN2
 
 
 def upper_bound(spec, n, cfg: OptimizerConfig = None) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import postcap.cli
 from postcap.cli import main
 from postcap.tolerances import tolerances
 
@@ -116,6 +117,24 @@ def test_table1_json_format(tmp_path):
     assert rows[0]["m"] == 1
     assert rows[0]["upper_bound"] is None
     assert rows[1]["feedback_capacity"] == pytest.approx(0.8325, abs=5e-4)
+
+
+def test_table1_check_fails_on_an_uncertified_upper_bound(monkeypatch, capsys):
+    # 5 passes certify no upper-bound solve; m = 2 still lands within the
+    # reference tolerance (0.856307 vs 0.8568), so only the cap can fail it
+    budget = postcap.cli.OptimizerConfig
+    monkeypatch.setattr(
+        postcap.cli, "OptimizerConfig", lambda **kw: budget(**{**kw, "max_iterations": 5})
+    )
+    assert main(["table1", "--check", "--max-m", "2", "--upper-bound-max-m", "2"]) == 1
+    captured = capsys.readouterr()
+    for m in (1, 2):
+        want = f"check failed: m={m} upper-bound solve stopped at the iteration cap (residual "
+        assert want in captured.err
+    assert captured.out.splitlines()[0] == "m,upper_bound,scheme_rate,feedback_capacity"
+    # without --check the same table still exits 0
+    assert main(["table1", "--max-m", "2", "--upper-bound-max-m", "2"]) == 0
+    assert capsys.readouterr().out == captured.out
 
 
 def test_table1_oversized_upper_bound_exits_2_before_solving(capsys):

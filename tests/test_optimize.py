@@ -4,9 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from pytest import approx
 
 from postcap import (
+    CustomPost,
     MaryPost,
     PostAB,
     PostAlpha,
@@ -193,33 +197,116 @@ def test_open_loop_equals_feedback_for_binary_families():
         assert fb_value >= ol_value - 1e-9
 
 
-def _reference_open_loop(spec, n, s0, cfg):
-    """Blahut-Arimoto on the dense sequence kernel, with the solver's update and stop."""
+def _reference_open_loop(spec, n, s0, cfg, mu_max=optimize.MU_MAX, retakes=None):
+    """Dense twin of the open-loop solver: same step schedule, rejection and pass count.
+
+    Runs on the dense sequence kernel; mu_max = 1 makes it plain Blahut-Arimoto.
+    It shares the solver's update: an accepted step with mu = 64 multiplies a
+    rounding difference in the update by up to 64, so an update rounded
+    otherwise drifts by far more than 1e-12.  retakes[k], if given, says
+    whether the solver's k-th update retook a rejected step.  Where the twin
+    decides otherwise, the two objectives must tie to within 1e-12 nats, a
+    decision the rounding of the two passes may flip, and the twin follows the
+    solver.  Returns the last kept pmf, its value in bits and whether it
+    certified.
+    """
     chan = build_sequence_kernel(spec, n, s0).kernel.values
     const = (chan * np.log(chan, where=chan > 0, out=np.zeros_like(chan))).sum(axis=0)
+
     p = np.full(chan.shape[1], 1.0 / chan.shape[1])
+    mu, over, prev, certified, updates = 1.0, False, -math.inf, False, 0
     for _ in range(cfg.max_iterations):
         q = chan @ p
         divergences = const - chan.T @ np.log(q, where=q > 0, out=np.zeros_like(q))
         value = float(p @ divergences)
+        reject = over and value < prev
+        if retakes is not None:
+            # the solver stops after its last update's pass: it kept that iterate
+            solver = updates < len(retakes) and retakes[updates]
+            if solver != reject:
+                assert abs(value - prev) <= 1e-12
+                reject = solver
+        if reject:
+            p, mu, over = optimize._ba_step(kept, kept_divergences), 1.0, False
+            updates += 1
+            continue
+        kept, kept_divergences, prev = p, divergences, value
         if divergences.max() - value <= cfg.kkt_tolerance:
+            certified = True
             break
-        log_p = np.log(p) + divergences
-        p = np.exp(log_p - np.log(np.exp(log_p - log_p.max()).sum()) - log_p.max())
-    return p, value / math.log(2.0)
+        p, over = optimize._ba_step(p, mu * divergences), mu > 1.0
+        mu, updates = min(2.0 * mu, mu_max), updates + 1
+    return kept, prev / math.log(2.0), certified
+
+
+def _recorded_solve(monkeypatch, spec, n, s0, cfg):
+    """The solver's pmf and value, and per update whether it retook a rejected step."""
+    inputs = []
+    step = optimize._ba_step
+    monkeypatch.setattr(optimize, "_ba_step", lambda p, d: inputs.append(p) or step(p, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pmf, value = maximize_mi_nofeedback(spec, n, s0, cfg)
+    monkeypatch.undo()
+    # a retake starts again from the iterate the update before it started from
+    return pmf, value, [k > 0 and p is inputs[k - 1] for k, p in enumerate(inputs)]
 
 
 @pytest.mark.parametrize("spec", PASS_SPECS)
-def test_open_loop_solver_matches_reference_ba(spec):
+def test_open_loop_solver_matches_reference_ba(spec, monkeypatch):
     cfg = OptimizerConfig(max_iterations=3000, kkt_tolerance=1e-8)
     for n in (1, 2, 3, 4):
         for s0 in range(len(spec.state_classes)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pmf, value = maximize_mi_nofeedback(spec, n, s0, cfg)
-            want_p, want_value = _reference_open_loop(spec, n, s0, cfg)
+            pmf, value, retakes = _recorded_solve(monkeypatch, spec, n, s0, cfg)
+            want_p, want_value, _ = _reference_open_loop(spec, n, s0, cfg, retakes=retakes)
             assert abs(value - want_value) < 1e-12
             assert np.abs(pmf.values - want_p).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec, horizons",
+    [*((spec, (1, 2, 3, 4)) for spec in PASS_SPECS), (MaryPost(1), (6,)), (MaryPost(2), (6,))],
+)
+def test_open_loop_solver_value_matches_plain_ba(spec, horizons):
+    # both stop certified, so both values lie within kkt_tolerance nats of the optimum
+    cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-8)
+    for n in horizons:
+        for s0 in range(len(spec.state_classes)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, value = maximize_mi_nofeedback(spec, n, s0, cfg)
+            _, want, certified = _reference_open_loop(spec, n, s0, cfg, mu_max=1.0)
+            assert certified
+            assert abs(value - want) <= cfg.kkt_tolerance / math.log(2.0)
+
+
+def test_open_loop_solver_iteration_count(monkeypatch):
+    # plain Blahut-Arimoto makes 5,668 updates here
+    calls = []
+    step = optimize._ba_step
+    monkeypatch.setattr(optimize, "_ba_step", lambda p, d: calls.append(1) or step(p, d))
+    upper_bound(MaryPost(2), 6, OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7))
+    assert len(calls) <= 2000
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_open_loop_solver_is_monotone_and_certifies_where_plain_ba_does(data):
+    # small random channels, zeros allowed; the first row keeps every column's sum positive
+    y, x = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    raw = data.draw(arrays(np.float64, (y, y, x), elements=st.floats(0.0, 1.0)))
+    raw[:, 0, :] += 1e-3
+    spec = CustomPost(tuple(raw / raw.sum(axis=1, keepdims=True)))
+    n, s0 = data.draw(st.integers(1, 3)), data.draw(st.integers(0, y - 1))
+    cfg = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
+    # a lowered objective raises RuntimeError, any other warning fails too
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.simplefilter("always", optimize.IterationCapWarning)
+        maximize_mi_nofeedback(spec, n, s0, cfg)
+    if caught:
+        # ill-conditioned channels outrun the budget; plain Blahut-Arimoto must too
+        assert not _reference_open_loop(spec, n, s0, cfg, mu_max=1.0)[2]
 
 
 def test_open_loop_solver_size_guard_raises_before_allocating():
