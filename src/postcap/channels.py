@@ -294,6 +294,17 @@ def _backward_pass(steps, ent, s0, n, ln_q):
     return out.ravel()
 
 
+def _divergences(steps, ent, s0, n, p):
+    """D(x^n) = D(W(. | x^n) || W p) in nats, from one forward and one backward pass.
+
+    p . D is I(X^n; Y^n | s0) for the input pmf p.  Outputs with
+    q = 0 take ln q = 0; only inputs with p = 0 reach them.
+    """
+    q = _forward_pass(steps, s0, n, p)
+    ln_q = np.log(q, where=q > 0, out=np.zeros_like(q))
+    return _backward_pass(steps, ent, s0, n, ln_q)
+
+
 def _inverse_class_matrices(spec):
     """Inverse one-step matrix of every class; SingularChannelError if any has none."""
     inverses = {}

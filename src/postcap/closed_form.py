@@ -8,13 +8,14 @@ refinement.  closed_form_solution looks up the solution of a channel
 spec, so callers need not branch on its family.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError, _check_entries
-from .probability import binary_entropy
+from .probability import _freeze, binary_entropy
 
 DEGENERATE_EPS = 1e-9
 MARY_COARSE_POINTS = 201  # per axis of mary_feedback_capacity's first grid
@@ -136,6 +137,31 @@ def _h2(p):
     return (0.0 - a * np.log2(a)) - b * np.log2(b)
 
 
+def _mary_rate_terms(gamma, delta):
+    """The terms of the m-ary rate that do not depend on m.
+
+    Returns (scale, offset) with rate = scale * lead(m, gamma) + offset:
+    scale = 2 delta / (2 delta + 1 + gamma) and offset = (1 + gamma) /
+    (2 delta + 1 + gamma) * h(delta).
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    denom = np.asarray(2.0 * delta + 1.0 + gamma)  # an array, so its buffer can be reused
+    scale = 2.0 * delta / denom
+    offset = np.divide(1.0 + gamma, denom, out=denom)
+    offset *= _h2(delta)
+    return scale, offset
+
+
+def _mary_rate(m, gamma, scale, offset):
+    """scale * lead(m, gamma) + offset, the rate from its m-independent terms."""
+    gamma = np.asarray(gamma, dtype=float)
+    lead = 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
+    rate = scale * lead
+    rate += offset
+    return rate
+
+
 def mary_rate_objective(m, gamma, delta):
     """Per-use rate of the two-parameter stationary policy, in bits.
 
@@ -144,15 +170,14 @@ def mary_rate_objective(m, gamma, delta):
     term depends on one of them, so on a column of gammas and a row of deltas
     it is computed once per axis value.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    lead = 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
-    denom = np.asarray(2.0 * delta + 1.0 + gamma)  # an array, so its buffer can be reused
-    rate = 2.0 * delta / denom
-    rate *= lead
-    reset = np.divide(1.0 + gamma, denom, out=denom)
-    rate += np.multiply(reset, _h2(delta), out=reset)
-    return rate
+    return _mary_rate(m, gamma, *_mary_rate_terms(gamma, delta))
+
+
+@functools.cache
+def _mary_coarse_terms():
+    """Axis of the coarse grid and its (scale, offset), shared by every m; built on first use."""
+    axis = np.linspace(0.0, 1.0, MARY_COARSE_POINTS)
+    return (_freeze(axis), *map(_freeze, _mary_rate_terms(axis[:, None], axis)))
 
 
 def mary_state_policy(m, gamma, delta):
@@ -191,19 +216,23 @@ def mary_feedback_capacity(m) -> MaryFeedbackSolution:
 
     Coarse grid, then local refinement down to MARY_REFINE_TOL in each
     coordinate; each grid is evaluated on its axes, gammas as a column.
+    The coarse grid's m-independent terms are computed once per process.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    gs = ds = np.linspace(0.0, 1.0, MARY_COARSE_POINTS)
+    gs, scale, offset = _mary_coarse_terms()
+    ds = gs
+    rates = _mary_rate(m, gs[:, None], scale, offset)
     width = gs[1] - gs[0]
     while True:
-        i, j = divmod(int(np.argmax(mary_rate_objective(m, gs[:, None], ds))), ds.size)
+        i, j = divmod(int(np.argmax(rates)), ds.size)
         g, d = float(gs[i]), float(ds[j])
         if width <= MARY_REFINE_TOL:
             break
         width /= 8.0
         gs = np.clip(np.linspace(g - 8 * width, g + 8 * width, 33), 0.0, 1.0)
         ds = np.clip(np.linspace(d - 8 * width, d + 8 * width, 33), 0.0, 1.0)
+        rates = mary_rate_objective(m, gs[:, None], ds)
     return MaryFeedbackSolution(
         m=m,
         gamma_star=g,

@@ -1,16 +1,18 @@
 """Directed information between input kernels and channel kernels.
 
-All quantities are returned in bits.  Sums run over the nonzero terms of
-the joint (0 log 0 = 0) and are accumulated with compensated summation
-so the per-step decomposition identity holds to ~1e-12 even at n = 8.
+All quantities are returned in bits.  directed_information and its
+per-step terms sum over the nonzero terms of the dense joint (0 log 0 =
+0) with compensated summation, so the per-step decomposition identity
+holds to ~1e-12 even at n = 8.  mutual_information_given_state builds no
+joint: it runs the matrix-free channel passes of the open-loop solver.
 """
 
 import math
 
 import numpy as np
 
-from .channels import build_sequence_kernel, input_alphabet, output_alphabet
-from .probability import CausalKernel, SequencePmf, open_loop_kernel
+from .channels import _channel_steps, _divergences, input_alphabet
+from .probability import LN2, CausalKernel, SequencePmf
 
 
 def _check_pair(input_kernel, channel):
@@ -69,12 +71,21 @@ def directed_information_stepwise(input_kernel: CausalKernel, channel: CausalKer
 
 
 def mutual_information_given_state(spec, n, s0, input_pmf: SequencePmf) -> float:
-    """I(X^n; Y^n | s0) for an input that ignores the feedback, in bits."""
+    """I(X^n; Y^n | s0) for an input that ignores the feedback, in bits.
+
+    The value p . D / ln 2 of the open-loop solver, with D(x^n) the
+    divergence of W(. | x^n) from q = W p, computed one channel position
+    at a time by the matrix-free passes; neither the sequence kernel nor
+    the joint is built.  The size check is the passes': ValueError above
+    DENSE_ENTRY_CAP entries in any pass array, so binary channels go up
+    to n = 20.
+    """
     if input_pmf.n != n or input_pmf.alphabet_size != input_alphabet(spec):
         raise ValueError("input pmf does not match the channel")
-    channel = build_sequence_kernel(spec, n, s0, storage="dense").kernel
-    kin = open_loop_kernel(input_pmf, output_alphabet(spec))
-    return directed_information(kin, channel)
+    steps, ent = _channel_steps(spec, n, s0)
+    p = input_pmf.values
+    value = float(p @ _divergences(steps, ent, s0, n, p)) / LN2
+    return 0.0 if -1e-12 < value < 0.0 else value
 
 
 def concavity_probe(channel: CausalKernel, p1: CausalKernel, p2: CausalKernel, theta: float):

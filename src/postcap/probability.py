@@ -26,6 +26,10 @@ from .tolerances import tolerances
 
 LN2 = math.log(2.0)
 
+# Fewest entries that numpy's sum adds pairwise (in blocks of 8) rather
+# than one after another.
+PAIRWISE_BLOCK = 8
+
 # Conditionals on prefixes whose partial sum falls below this are taken
 # uniform (the dead-branch convention used by factorize_causal).
 DEAD_BRANCH_FLOOR = 1e-12
@@ -92,7 +96,15 @@ class SequencePmf:
         if not 0 <= i <= self.n:
             raise ValueError("prefix length out of range")
         k = self.alphabet_size
-        v = self.values.reshape(k**i, k ** (self.n - i)).sum(axis=1)
+        rows = self.values.reshape(k**i, k ** (self.n - i))
+        if rows.shape[1] >= PAIRWISE_BLOCK:
+            return SequencePmf(k, i, rows.sum(axis=1))
+        # numpy adds fewer than PAIRWISE_BLOCK entries one after another,
+        # so adding the columns in order gives the same bits without its
+        # per-row cost
+        v = rows[:, 0].copy()
+        for j in range(1, rows.shape[1]):
+            v += rows[:, j]
         return SequencePmf(k, i, v)
 
     def suffix_marginal(self, i):

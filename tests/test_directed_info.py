@@ -6,6 +6,7 @@ import pytest
 from pytest import approx
 
 from postcap import (
+    CustomPost,
     MaryPost,
     PostAB,
     PostAlpha,
@@ -143,6 +144,25 @@ def test_mi_z_channel_optimal_input():
     assert mutual_information_given_state(PostAlpha(0.5), 1, 0, pmf) == approx(
         0.32192809488736235, abs=1e-12
     )
+
+
+# 3 inputs, 2 outputs, input 1 never yields output 0 from state 0
+WIDE_CUSTOM = CustomPost(([[0.8, 0.0, 0.5], [0.2, 1.0, 0.5]], [[0.1, 0.6, 0.3], [0.9, 0.4, 0.7]]))
+
+
+@pytest.mark.parametrize("spec", [PostAlpha(0.3), PostAB(0.9, 0.7), MaryPost(2), WIDE_CUSTOM])
+def test_mi_from_passes_matches_dense_joint(spec):
+    rng = np.random.default_rng(13)
+    x, y = spec.input_size, len(spec.state_classes)
+    for n in range(1, 6):
+        point = np.zeros(x**n)
+        point[rng.integers(x**n)] = 1.0
+        for values in (rng.dirichlet(np.ones(x**n)), point):
+            pmf = SequencePmf(x, n, values)
+            for s0 in range(y):
+                chan = build_sequence_kernel(spec, n, s0).kernel
+                want = directed_information(open_loop_kernel(pmf, y), chan)
+                assert abs(mutual_information_given_state(spec, n, s0, pmf) - want) < 1e-12
 
 
 def test_mi_point_mass_is_zero():

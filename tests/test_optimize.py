@@ -18,13 +18,16 @@ from postcap import (
     SequencePmf,
     binary_dmc_capacity,
     build_sequence_kernel,
+    closed_form_solution,
     compose_causal,
     directed_information,
+    invert_sequence_kernel,
     kkt_check,
     maximize_di_feedback,
     maximize_mi_nofeedback,
     open_loop_kernel,
     open_loop_match,
+    output_markov_pmf,
     post_alpha_capacity,
     recursive_input_ab,
     recursive_input_alpha,
@@ -386,6 +389,22 @@ def test_open_loop_match_size_guard_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_open_loop_match_memory_and_inverse_route():
+    spec, n, s0 = PostAB(0.9, 0.7), 10, 0
+    tracemalloc.start()
+    try:
+        report = open_loop_match(spec, n, s0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MiB inverse and its two 2 MiB halves; no dense joint or channel
+    assert peak < 16 * 2**20
+    delta = closed_form_solution(spec, markov=True).output_markov_transition
+    raw = invert_sequence_kernel(spec, n, s0) @ output_markov_pmf(delta, n, s0).values
+    assert report.min_entry == float(raw.min())
+    assert report.total == float(raw.sum())
 
 
 def test_open_loop_match_report_text():

@@ -89,6 +89,16 @@ def test_marginals():
     assert pmf.entry((1, 0)) == approx(0.2)
 
 
+@pytest.mark.parametrize("k, n", [(2, 11), (3, 7), (4, 5), (5, 4)])
+def test_prefix_marginal_bits_equal_reshape_sum(k, n):
+    # tails shorter than 8 entries are added column by column, longer ones by sum
+    rng = np.random.default_rng(k)
+    pmf = SequencePmf(k, n, rng.dirichlet(np.ones(k**n)))
+    for i in range(n + 1):
+        want = pmf.values.reshape(k**i, -1).sum(axis=1)
+        assert np.array_equal(pmf.prefix_marginal(i).values, want)
+
+
 # -- compose / validate / factorize ------------------------------------------
 
 
