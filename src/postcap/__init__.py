@@ -19,7 +19,6 @@ from .channels import (
     induced_output_pmf,
     initial_states,
     input_alphabet,
-    invert_sequence_kernel,
     output_alphabet,
     spec_from_config,
     spec_to_config,

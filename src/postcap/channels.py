@@ -2,11 +2,16 @@
 
 Every family member is data: one column-stochastic matrix per state
 class, plus the class of each state, with the state set equal to the
-output alphabet.  Sequence-level matrices come from one block recursion
-on the first symbol: block (i, j) of the level-n matrix from state s is
-C_s[i, j] times the level-(n-1) matrix from the state named by i or j.
-With C_s = p(y | x, s) it builds the channel p(y^n || x^n, s0); with the
-inverse one-step matrices it builds the channel's inverse.
+output alphabet.  Sequence-level objects come from one block recursion
+on the first symbol.  Block (i, j) of the level-n channel
+p(y^n || x^n, s) is p(i | j, s) times the level-(n-1) channel from state
+i.  The vector form builds segment i of the level-n vector from state s
+as sum_j C_s[i, j] times the level-(n-1) vector from state j: C_s =
+diag T_s gives the Markov output law q_s of an output chain T, and
+C_s = P_s^-1 diag T_s, with P_s the one-step matrix of state s, the
+open-loop input p_s = W_s^-1 q_s that induces it.  Matrix-free passes
+apply the channel one position at a time, for q = W p and for the
+divergences of W from q.
 """
 
 from dataclasses import dataclass
@@ -157,11 +162,6 @@ def input_alphabet(spec):
     return spec.input_size
 
 
-def state_class(spec, state):
-    """Canonical representative of states with identical behavior."""
-    return spec.state_classes[state]
-
-
 def initial_states(spec):
     """Initial states worth scanning (one per behavior class)."""
     return tuple(sorted(set(spec.state_classes)))
@@ -174,24 +174,21 @@ def step_kernel(spec, state):
     return np.array(spec.class_matrices[spec.state_classes[state]])
 
 
-def _block_matrix(coeffs, state_classes, n, target, by_column=False):
+def _block_matrix(coeffs, state_classes, n, target):
     """Level-n matrix of the first-symbol block recursion from class target.
 
     coeffs maps each class to its one-step matrix C_c.  Block (i, j) of
     the level-l matrix of class c is C_c[i, j] times the level-(l-1)
-    matrix of the class of state i (of state j with by_column).  Each
-    level is written into one preallocated array; only the target class
-    is built at the top level.  A result above DENSE_ENTRY_CAP entries
-    raises before anything is allocated.
+    matrix of the class of state i.  Each level is written into one
+    preallocated array; only the target class is built at the top level.
+    A result above DENSE_ENTRY_CAP entries raises before anything is
+    allocated.
     """
     rows, cols = next(iter(coeffs.values())).shape
     _check_entries("dense matrix", rows**n * cols**n)
     # (i, j, C_c[i, j], class whose lower-level matrix fills block (i, j))
     terms = {
-        cls: [
-            (i, j, mat[i, j], state_classes[j if by_column else i])
-            for i, j in np.argwhere(mat).tolist()
-        ]
+        cls: [(i, j, mat[i, j], state_classes[i]) for i, j in np.argwhere(mat).tolist()]
         for cls, mat in coeffs.items()
     }
     prev = dict.fromkeys(coeffs, np.ones((1, 1)))
@@ -343,23 +340,6 @@ def build_sequence_kernel(spec, n, s0, storage="dense"):
     classes = spec.state_classes
     values = _block_matrix(spec.class_matrices, classes, n, classes[s0])
     return ChannelMatrix(spec, n, s0, CausalKernel(k, x, n, 0, values))
-
-
-def invert_sequence_kernel(spec, n, s0):
-    """Inverse of the sequence kernel of a square channel.
-
-    Built by the same block recursion as the kernel itself, not by a
-    generic linear solve: block (x1, y1) of the inverse from state s is
-    P_s^-1[x1, y1] times the inverse from state y1.  Raises
-    SingularChannelError unless every class matrix is square with
-    |det| > SINGULAR_DET, and ValueError above DENSE_ENTRY_CAP entries.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= s0 < output_alphabet(spec):
-        raise ValueError("initial state out of range")
-    classes = spec.state_classes
-    return _block_matrix(_inverse_class_matrices(spec), classes, n, classes[s0], by_column=True)
 
 
 def induced_output_pmf(spec, n, s0, input_kernel: CausalKernel) -> SequencePmf:

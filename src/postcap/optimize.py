@@ -17,19 +17,13 @@ the implied capacity (sum of multipliers plus one) is in bits.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    _channel_steps,
-    _divergences,
-    build_sequence_kernel,
-    initial_states,
-    invert_sequence_kernel,
-)
+from .channels import _channel_steps, _divergences, _forward_pass, build_sequence_kernel, initial_states
 from .closed_form import closed_form_solution
-from .construction import _output_state_policy, output_markov_pmf
+from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
 from .directed_info import mutual_information_given_state
 from .probability import CausalKernel, SequencePmf, compose_causal, index_sequence
 
@@ -51,6 +45,14 @@ STAGE_GAP = 1e-12
 # Largest multiplier of the open-loop solver's over-relaxed step
 # p <- p exp(mu D) / Z (Matz & Duhamel, ITW 2004).
 MU_MAX = 64.0
+
+# Bounds of open_loop_match: the raw input's least entry may fall this far
+# below 0 and its sum this far from 1, its output this far from the target
+# law (entrywise), and its mutual information this far from n C (bits).
+MATCH_MIN_ENTRY_TOL = 1e-10
+MATCH_SUM_TOL = 1e-9
+MATCH_OUTPUT_GAP_TOL = 1e-10
+MATCH_DI_GAP_TOL = 1e-8
 
 
 def logsumexp(a, axis=None):
@@ -138,10 +140,11 @@ class KktReport:
 
 @dataclass
 class MatchReport:
-    """Validity of the open-loop input solved from the target output law."""
+    """Validity of the open-loop input built for the target output law."""
 
     min_entry: float
     total: float
+    output_gap: float
     di_gap: float
     passed: bool
     input_pmf: SequencePmf = field(repr=False, default=None)
@@ -151,6 +154,7 @@ class MatchReport:
             f"passed: {self.passed}\n"
             f"min_entry: {self.min_entry:.6e}\n"
             f"total: {self.total!r}\n"
+            f"output_gap: {self.output_gap:.6e}\n"
             f"di_gap: {self.di_gap:.6e}\n"
         )
 
@@ -170,51 +174,32 @@ def _polyhedron_max(t, x_alph, y_alph, n):
     return float(util[0, 0])
 
 
-@dataclass(frozen=True)
-class _PreparedChannel:
-    """Per-solve constants of a dense channel.
+def _certificate(channel: CausalKernel, kin, tol):
+    """Directed information of kin through channel in bits, and its KktReport.
 
-    chan3 is the channel p(y^n || x^n) viewed as (Y^(n-1), Y, X^n).  w is
-    its sum over the last output and cl the sum of chan ln chan over it,
-    both indexed [x^n, y^(n-1)] like an input kernel.
+    One log pass over the dense channel p(y^n || x^n), viewed as
+    (Y^(n-1), Y, X^n), serves both: with w and cl the sums of chan and
+    chan ln chan over the last output, and S = sum_{y_n} chan ln p(y^n),
+    all indexed [x^n, y^(n-1)] like kin, the value is <kin, cl> minus the
+    output entropy term and the gradient of directed information is
+    t = cl - S - w.
     """
-
-    kernel: CausalKernel
-    chan3: np.ndarray
-    w: np.ndarray
-    cl: np.ndarray
-
-
-def _prepare_channel(spec, n, s0):
-    kernel = build_sequence_kernel(spec, n, s0, storage="dense").kernel
-    y_alph = kernel.out_alphabet
-    chan3 = kernel.values.reshape(y_alph ** (n - 1), y_alph, -1)
+    x_alph, y_alph, n = channel.in_alphabet, channel.out_alphabet, channel.n
+    chan3 = channel.values.reshape(y_alph ** (n - 1), y_alph, -1)
     ln_c = np.log(chan3, where=chan3 > 0, out=np.zeros_like(chan3))
     w = np.ascontiguousarray(chan3.sum(axis=1).T)
     cl = np.ascontiguousarray((chan3 * ln_c).sum(axis=1).T)
-    return _PreparedChannel(kernel, chan3, w, cl)
-
-
-def _log_pass(ch, kin):
-    """Output law p(y^n), its log (0 where p = 0) and S = sum_{y_n} chan ln p(y^n).
-
-    py and ln_py are shaped (Y^(n-1), Y); S is indexed [x^n, y^(n-1)].
-    """
-    py = np.matmul(ch.chan3, np.ascontiguousarray(kin.T)[:, :, None])[:, :, 0]
+    del ln_c  # channel-sized: held through the log pass, it costs kkt_check about 5% (heap churn)
+    py = np.matmul(chan3, np.ascontiguousarray(kin.T)[:, :, None])[:, :, 0]
     ln_py = np.log(py, where=py > 0, out=np.zeros_like(py))
-    return py, ln_py, np.matmul(ln_py[:, None, :], ch.chan3)[:, 0, :].T
+    s = np.matmul(ln_py[:, None, :], chan3)[:, 0, :].T
+    value = (float(np.vdot(kin, cl)) - float(np.vdot(py, ln_py))) / LN2
+    if -1e-12 < value < 0.0:
+        value = 0.0
 
-
-def _certificate(ch, kin, py, s, tol):
-    """Certificate of kin from one log pass, without its beta map.
-
-    Returns the report with an empty beta and the per-context
-    multipliers; _with_beta attaches them.  The gradient of directed
-    information is t = cl - S - w.
-    """
-    t = ch.cl - s - ch.w
+    t = cl - s - w
     # (x^n, y^(n-1)) pairs that reach an output sequence of probability 0
-    undefined = np.einsum("cyx,cy->xc", ch.chan3, (py == 0.0).astype(float)) > 0.0
+    undefined = np.einsum("cyx,cy->xc", chan3, (py == 0.0).astype(float)) > 0.0
 
     support = kin > SUPPORT_THRESHOLD
     weights = np.where(support, kin, 0.0)
@@ -231,8 +216,7 @@ def _certificate(ch, kin, py, s, tol):
     max_off = 0.0
     if (~full_support).any():
         max_off = max(0.0, float((row_sums[~full_support] - total).max()))
-    kernel = ch.kernel
-    gap = max(0.0, _polyhedron_max(t_eff, kernel.in_alphabet, kernel.out_alphabet, kernel.n) - total)
+    gap = max(0.0, _polyhedron_max(t_eff, x_alph, y_alph, n) - total)
     if undefined.any():
         x_idx, c_idx = np.argwhere(undefined)[0]
         note = (
@@ -247,25 +231,18 @@ def _certificate(ch, kin, py, s, tol):
                 f"from supported input row {x_idx} (context {c_idx})"
             )
 
+    beta_map = {index_sequence(j, y_alph, n - 1): float(b) for j, b in enumerate(beta)}
     implied = (total + 1.0) / LN2
     passed = max_support <= tol and max_off <= tol and gap <= tol
-    return KktReport({}, max_support, max_off, gap, implied, passed, tol, note), beta
-
-
-def _with_beta(report, beta, ch):
-    y_alph, ctx_len = ch.kernel.out_alphabet, ch.kernel.n - 1
-    beta_map = {index_sequence(j, y_alph, ctx_len): float(b) for j, b in enumerate(beta)}
-    return replace(report, beta=beta_map)
+    return value, KktReport(beta_map, max_support, max_off, gap, implied, passed, tol, note)
 
 
 def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
     """First-order certificate of the input kernel against the channel."""
-    ch = _prepare_channel(spec, n, s0)
-    if input_kernel.n != n or input_kernel.out_alphabet != ch.kernel.in_alphabet:
+    channel = build_sequence_kernel(spec, n, s0).kernel
+    if input_kernel.n != n or input_kernel.out_alphabet != channel.in_alphabet:
         raise ValueError("input kernel does not match the channel")
-    kin = input_kernel.values
-    py, _, s = _log_pass(ch, kin)
-    return _with_beta(*_certificate(ch, kin, py, s, tol), ch)
+    return _certificate(channel, input_kernel.values, tol)[1]
 
 
 def _ba_step(p, divergences):
@@ -336,7 +313,8 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     if it fails.  cfg.initialization and cfg.seed are not read.
     """
     cfg = cfg or OptimizerConfig()
-    ch = _prepare_channel(spec, n, s0)  # raises on its size before the policy is composed
+    # raises on its size before the policy is composed
+    channel = build_sequence_kernel(spec, n, s0).kernel
     classes, mats = spec.state_classes, spec.class_matrices
     values, laws = np.zeros(len(classes)), []
     for _ in range(n):
@@ -344,19 +322,14 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
         values = np.array([solved[c][1] for c in classes])
         laws.insert(0, np.array([solved[c][0] for c in classes]))
     kernel = compose_causal(_output_state_policy(laws, s0))
-    kin = kernel.values
-    py, ln_py, s = _log_pass(ch, kin)
-    value = (float(np.vdot(kin, ch.cl)) - float(np.vdot(py, ln_py))) / LN2
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    report, beta = _certificate(ch, kin, py, s, cfg.kkt_tolerance)
+    value, report = _certificate(channel, kernel.values, cfg.kkt_tolerance)
     if not report.passed:
         warnings.warn(
             f"feedback solver stopped without a passing certificate "
             f"(support violation {report.max_violation_support:.3e}, "
             f"off-support violation {report.max_violation_offsupport:.3e})"
         )
-    return kernel, value, _with_beta(report, beta, ch)
+    return kernel, value, report
 
 
 class IterationCapWarning(UserWarning):
@@ -429,28 +402,34 @@ def upper_bound(spec, n, cfg: OptimizerConfig = None) -> float:
     return best / n
 
 
-def open_loop_match(
-    spec, n, s0, min_entry_tol=1e-10, sum_tol=1e-9, di_gap_tol=1e-8
-) -> MatchReport:
-    """Solve for the open-loop input that induces the feedback-optimal output.
+def open_loop_match(spec, n, s0) -> MatchReport:
+    """Check the open-loop input that induces the feedback-optimal output.
 
     The target output law is the symmetric Markov chain of the family's
-    closed form; the input is recovered through the block-recursive
-    inverse of the sequence kernel, which is dense (n <= 10 for binary
-    channels).  min_entry and total are the smallest entry and the sum of
-    that raw solve, so they show the inverse's rounding.  di_gap is the
-    distance of the clipped, normalized input's mutual information from n
-    times the closed-form capacity, in bits, from the matrix-free channel
-    passes (mutual_information_given_state).
+    closed form, and the raw input is the last level of the vector
+    recursion p_s = W_s^-1 q_s (construction._input_levels).  min_entry
+    and total are that raw input's smallest entry and sum.  output_gap,
+    max |W p - q|, checks it independently: the forward channel pass runs
+    the channel on the raw input and never touches an inverse.  di_gap is
+    the distance of the clipped, normalized input's mutual information
+    from n times the closed-form capacity, in bits.  No matrix is built;
+    the vector recursion and the channel passes check their sizes, so
+    binary channels go up to n = 20.
     """
     sol = closed_form_solution(spec, markov=True)
-    delta = sol.output_markov_transition
-    # Left to right: the inverse's size check runs before the target is built.
-    raw = invert_sequence_kernel(spec, n, s0) @ output_markov_pmf(delta, n, s0).values
+    raw = _open_loop_input(spec, n, s0).values
+    steps, _ = _channel_steps(spec, n, s0)
+    target = output_markov_pmf(sol.output_markov_transition, n, s0).values
+    output_gap = float(np.abs(_forward_pass(steps, s0, n, raw) - target).max())
     min_entry = float(raw.min())
     total = float(raw.sum())
 
     pmf = SequencePmf(2, n, np.maximum(raw, 0.0) / total)
     di_gap = abs(mutual_information_given_state(spec, n, s0, pmf) - n * sol.capacity_bits)
-    passed = min_entry >= -min_entry_tol and abs(total - 1.0) <= sum_tol and di_gap <= di_gap_tol
-    return MatchReport(min_entry, total, di_gap, passed, pmf)
+    passed = (
+        min_entry >= -MATCH_MIN_ENTRY_TOL
+        and abs(total - 1.0) <= MATCH_SUM_TOL
+        and output_gap <= MATCH_OUTPUT_GAP_TOL
+        and di_gap <= MATCH_DI_GAP_TOL
+    )
+    return MatchReport(min_entry, total, output_gap, di_gap, passed, pmf)

@@ -17,14 +17,12 @@ class ToleranceConfig:
     entry_floor: how far below zero a probability entry may drift.
     pmf_sum: allowed deviation of a pmf total from 1.
     kernel: allowed violation of the causal-kernel consistency constraints.
-    round_trip: allowed entrywise error in compose/factorize round trips.
     conditional_row: allowed deviation of a conditional row sum from 1.
     """
 
     entry_floor: float = 1e-12
     pmf_sum: float = 1e-9
     kernel: float = 1e-9
-    round_trip: float = 1e-10
     conditional_row: float = 1e-12
 
     def update(self, **kwargs):

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +13,19 @@ from postcap import (
     build_sequence_kernel,
     induced_output_pmf,
     initial_states,
-    invert_sequence_kernel,
     open_loop_kernel,
     spec_from_config,
     spec_to_config,
     step_kernel,
     validate_causal,
 )
-from postcap.channels import _backward_pass, _channel_steps, _forward_pass
+from postcap.channels import (
+    _backward_pass,
+    _channel_steps,
+    _forward_pass,
+    _inverse_class_matrices,
+    _vector_levels,
+)
 from postcap.closed_form import mary_state_policy
 from postcap.construction import feedback_policy, output_markov_pmf
 from postcap.probability import SequencePmf, compose_causal
@@ -175,17 +179,17 @@ def test_channel_passes_match_dense_kernel(spec):
             assert np.abs(_backward_pass(steps, ent, s0, n, ln_q) - want).max() < 1e-12
 
 
-# -- closed-form block inverses -------------------------------------------------
+# -- inverses: one-step matrices and the vector recursion ----------------------
 
 
 def test_inverse_n1_post_alpha():
-    inv = invert_sequence_kernel(PostAlpha(0.5), 1, 0)
+    inv = _inverse_class_matrices(PostAlpha(0.5))[0]
     assert inv == approx(np.array([[1.0, -1.0], [0.0, 2.0]]))
 
 
 def test_inverse_n1_post_ab():
     a, b = 0.9, 0.7
-    inv = invert_sequence_kernel(PostAB(a, b), 1, 0)
+    inv = _inverse_class_matrices(PostAB(a, b))[0]
     want = np.array([[b, -(1 - b)], [-(1 - a), a]]) / (a + b - 1)
     assert inv == approx(want)
 
@@ -199,45 +203,48 @@ INVERTIBLE_CUSTOM = CustomPost(
 )
 
 
+def _recursive_inverse_residual(spec, chain, n, s0):
+    """max |W p - q| for the Markov output law q of chain and p from the vector recursion.
+
+    q has coefficients diag T_s and p = W^-1 q has P_s^-1 diag T_s; W is
+    the dense kernel, built by the matrix recursion instead.
+    """
+    inverses = _inverse_class_matrices(spec)
+    states = range(len(spec.state_classes))
+    inputs = np.array([inverses[spec.state_classes[s]] * chain[:, s] for s in states])
+    for p in _vector_levels(inputs, n):
+        pass
+    for q in _vector_levels(np.array([np.diag(chain[:, s]) for s in states]), n):
+        pass
+    return np.abs(build_sequence_kernel(spec, n, s0).kernel.values @ p[s0] - q[s0]).max()
+
+
 @pytest.mark.parametrize(
     "spec", [PostAlpha(0.3), PostAB(0.85, 0.6), PostAB(0.2, 0.3), INVERTIBLE_CUSTOM]
 )
 @pytest.mark.parametrize("s0", [0, 1])
 def test_inverse_times_kernel_is_identity(spec, s0):
+    # W (W^-1 q) = q for the Markov law q of a random output chain
+    k = len(spec.state_classes)
+    chain = np.random.default_rng(s0).dirichlet(np.ones(k), size=k).T
     for n in (1, 2, 3):
-        mat = build_sequence_kernel(spec, n, s0).kernel.values
-        inv = invert_sequence_kernel(spec, n, s0)
-        assert np.abs(inv @ mat - np.eye(mat.shape[0])).max() < 1e-10
+        assert _recursive_inverse_residual(spec, chain, n, s0) < 1e-10
 
 
 def test_inverse_identity_tolerance_scales_with_depth():
     spec = PostAB(0.9, 0.7)
+    chain = np.array([[0.6, 0.3], [0.4, 0.7]])
     for n in (4, 6, 8):
-        mat = build_sequence_kernel(spec, n, 0).kernel.values
-        inv = invert_sequence_kernel(spec, n, 0)
-        assert np.abs(inv @ mat - np.eye(2**n)).max() < 1e-8 * 2**n
+        assert _recursive_inverse_residual(spec, chain, n, 0) < 1e-8 * 2**n
 
 
 def test_singular_channels_raise():
     with pytest.raises(SingularChannelError):
-        invert_sequence_kernel(PostAlpha(1.0), 2, 0)
+        _inverse_class_matrices(PostAlpha(1.0))
     with pytest.raises(SingularChannelError):
-        invert_sequence_kernel(PostAB(0.3, 0.7), 2, 0)
+        _inverse_class_matrices(PostAB(0.3, 0.7))
     with pytest.raises(SingularChannelError):
-        invert_sequence_kernel(MaryPost(2), 2, 0)
-
-
-def test_inverse_size_guard_raises_before_allocating():
-    # 2^11 x 2^11 entries exceed DENSE_ENTRY_CAP; without the guard this
-    # call would allocate 32 MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="entries"):
-            invert_sequence_kernel(PostAlpha(0.5), 11, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+        _inverse_class_matrices(MaryPost(2))
 
 
 # -- induced output law ----------------------------------------------------------

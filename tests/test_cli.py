@@ -225,10 +225,12 @@ def test_config_file_sets_tolerances(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "tol.cfg"
-    cfg.write_text("bogus = 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "capacity", "post-alpha", "--alpha", "0.5"])
-    assert exc.value.code == 2
+    # round_trip was a field that no code read
+    for key in ("bogus", "round_trip"):
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "capacity", "post-alpha", "--alpha", "0.5"])
+        assert exc.value.code == 2
 
 
 def test_console_entry_point_runs():
@@ -268,11 +270,29 @@ def test_config_file_rejects_malformed_line(tmp_path):
 
 
 def test_verify_construction_oversized_exits_2(capsys):
-    # the 2^16 x 2^16 inverse would need 34 GB; the size check refuses it
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "construction", "--n", "16"])
+    # n = 21 is the first horizon whose 2^n-entry vectors exceed the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "construction", "--n", "21"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert exc.value.code == 2
     assert "entries" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_verify_construction_builds_no_block_matrix(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify construction built a dense sequence-level matrix")
+
+    monkeypatch.setattr(postcap.channels, "_block_matrix", refuse)
+    argv = ["verify", "construction", "--family", "post-ab", "--a", "0.9", "--b", "0.7", "--n", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "output_markov" in out
+    assert "result: pass" in out
 
 
 def test_table1_output_is_deterministic(tmp_path):

@@ -21,7 +21,6 @@ from postcap import (
     closed_form_solution,
     compose_causal,
     directed_information,
-    invert_sequence_kernel,
     kkt_check,
     maximize_di_feedback,
     maximize_mi_nofeedback,
@@ -34,10 +33,10 @@ from postcap import (
     upper_bound,
     validate_causal,
 )
-from postcap import optimize
+from postcap import channels, optimize
 from postcap.channels import SingularChannelError
-from postcap.construction import feedback_policy
-from postcap.optimize import LOG_ZERO
+from postcap.construction import _input_levels, feedback_policy
+from postcap.optimize import LOG_ZERO, IterationCapWarning
 
 from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
 
@@ -81,15 +80,20 @@ def test_feedback_solver_matches_closed_form_across_alphas():
 
 
 def test_random_restarts_agree():
-    values = []
-    for seed in (1, 2, 3):
-        cfg = OptimizerConfig(
-            max_iterations=20000, kkt_tolerance=1e-8, initialization="random", seed=seed
-        )
-        _, value, report = maximize_di_feedback(PostAlpha(0.4), 2, 0, cfg)
-        assert report.passed
-        values.append(value)
-    assert max(values) - min(values) < 1e-7
+    # the open-loop solver reads initialization and seed; every start reaches the same value
+    for spec, n in ((PostAlpha(0.4), 4), (MaryPost(2), 3)):
+        values, pmfs = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IterationCapWarning)
+            for init, seed in (("uniform", None), ("random", 1), ("random", 2), ("random", 3)):
+                cfg = OptimizerConfig(
+                    max_iterations=20000, kkt_tolerance=1e-8, initialization=init, seed=seed
+                )
+                pmf, value = maximize_mi_nofeedback(spec, n, 0, cfg)
+                values.append(value)
+                pmfs.append(pmf.values.tobytes())
+        assert len(set(pmfs)) == 4
+        assert max(values) - min(values) < 1e-10
 
 
 def test_solver_reports_nonconvergence():
@@ -361,11 +365,34 @@ def test_open_loop_match_single_step():
 
 
 def test_open_loop_match_deep_horizon_both_states():
-    for s0 in (0, 1):
-        report = open_loop_match(PostAlpha(0.5), 10, s0)
-        assert report.passed
-        assert report.di_gap <= 1e-8
-        assert report.min_entry >= -1e-10
+    # n = 20 is the largest horizon the channel passes accept for a binary channel
+    for n in (10, 20):
+        for s0 in (0, 1):
+            report = open_loop_match(PostAlpha(0.5), n, s0)
+            assert report.passed
+            assert report.di_gap <= 1e-8
+            assert report.min_entry >= -1e-10
+            assert abs(report.total - 1.0) <= 1e-9
+            assert report.output_gap <= 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(0.55, 0.5), (0.56, 0.52), (0.6, 0.5)])
+@pytest.mark.parametrize("s0", [0, 1])
+def test_open_loop_match_slow_strip_at_n10(a, b, s0):
+    # a + b - 1 <= 0.1: the dense block inverse missed the mass tolerance here
+    report = open_loop_match(PostAB(a, b), 10, s0)
+    assert report.passed
+    assert report.output_gap <= 1e-10
+
+
+def test_open_loop_match_builds_no_block_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("open_loop_match built a dense sequence-level matrix")
+
+    monkeypatch.setattr(channels, "_block_matrix", refuse)
+    for spec in (PostAlpha(0.3), PostAB(0.9, 0.7)):
+        for s0 in (0, 1):
+            assert open_loop_match(spec, 10, s0).passed
 
 
 def test_open_loop_match_ab_family():
@@ -384,7 +411,7 @@ def test_open_loop_match_size_guard_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="entries"):
-            open_loop_match(PostAlpha(0.5), 11, 0)
+            open_loop_match(PostAlpha(0.5), 21, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,12 +426,19 @@ def test_open_loop_match_memory_and_inverse_route():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 8 MiB inverse and its two 2 MiB halves; no dense joint or channel
-    assert peak < 16 * 2**20
+    # a few 2^n vectors; no 2^n x 2^n matrix
+    assert peak < 2**20
+    for levels in _input_levels(spec, n):
+        pass
+    assert report.min_entry == float(levels[s0].min())
+    assert report.total == float(levels[s0].sum())
+    # a reference outside the recursion: LU on the dense kernel
+    n = 8
+    report = open_loop_match(spec, n, s0)
     delta = closed_form_solution(spec, markov=True).output_markov_transition
-    raw = invert_sequence_kernel(spec, n, s0) @ output_markov_pmf(delta, n, s0).values
-    assert report.min_entry == float(raw.min())
-    assert report.total == float(raw.sum())
+    chan = build_sequence_kernel(spec, n, s0).kernel.values
+    solved = np.linalg.solve(chan, output_markov_pmf(delta, n, s0).values)
+    assert np.abs(report.input_pmf.values - solved).max() < 1e-10
 
 
 def test_open_loop_match_report_text():
