@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .probability import CausalKernel, SequencePmf, _freeze
+from .probability import CausalKernel, SequencePmf, _freeze, _joint
 from .tolerances import _read_key_values, tolerances
 
 # No sequence-level array may hold more entries than this.
@@ -344,17 +344,8 @@ def build_sequence_kernel(spec, n, s0, storage="dense"):
 
 def induced_output_pmf(spec, n, s0, input_kernel: CausalKernel) -> SequencePmf:
     """Output pmf p(y^n) = sum_x p(y^n || x^n, s0) p(x^n || y^{n-1})."""
-    if input_kernel.delay != 1:
-        raise ValueError("input kernel must have delay 1")
-    k = output_alphabet(spec)
-    x = input_alphabet(spec)
-    if input_kernel.out_alphabet != x or input_kernel.in_alphabet != k:
-        raise ValueError("alphabet mismatch")
-    if input_kernel.n != n:
-        raise ValueError("length mismatch")
-    chan = build_sequence_kernel(spec, n, s0).kernel.values
-    py = (chan * np.repeat(input_kernel.values.T, k, axis=0)).sum(axis=1)
-    return SequencePmf(k, n, py)
+    channel = build_sequence_kernel(spec, n, s0).kernel
+    return SequencePmf(channel.out_alphabet, n, _joint(input_kernel, channel).sum(axis=1))
 
 
 def spec_to_config(spec) -> str:
@@ -369,12 +360,22 @@ def spec_to_config(spec) -> str:
 
 
 def spec_from_config(text: str):
+    """Channel spec from spec_to_config's text.
+
+    Raises ValueError on an unknown family and on a missing or unknown key.
+    """
     fields = _read_key_values(text)
     family = fields.pop("family", None)
-    if family == "post-alpha":
-        return PostAlpha(alpha=float(fields.pop("alpha")))
-    if family == "post-ab":
-        return PostAB(a=float(fields.pop("a")), b=float(fields.pop("b")))
-    if family == "mary":
-        return MaryPost(m=int(fields.pop("m")))
-    raise ValueError(f"unknown channel family {family!r}")
+    families = {
+        "post-alpha": (PostAlpha, ("alpha",), float),
+        "post-ab": (PostAB, ("a", "b"), float),
+        "mary": (MaryPost, ("m",), int),
+    }
+    if family not in families:
+        raise ValueError(f"unknown channel family {family!r}")
+    cls, keys, kind = families[family]
+    missing = [key for key in keys if key not in fields]
+    unknown = [key for key in fields if key not in keys]
+    if missing or unknown:
+        raise ValueError(f"{family} config: missing keys {missing}, unknown keys {unknown}")
+    return cls(*(kind(fields[key]) for key in keys))

@@ -12,31 +12,13 @@ import math
 import numpy as np
 
 from .channels import _channel_steps, _divergences, input_alphabet
-from .probability import LN2, CausalKernel, SequencePmf
-
-
-def _check_pair(input_kernel, channel):
-    if input_kernel.delay != 1 or channel.delay != 0:
-        raise ValueError("expected an input kernel (d=1) and a channel kernel (d=0)")
-    if input_kernel.n != channel.n:
-        raise ValueError("length mismatch")
-    if (
-        channel.in_alphabet != input_kernel.out_alphabet
-        or channel.out_alphabet != input_kernel.in_alphabet
-    ):
-        raise ValueError("alphabet mismatch")
-
-
-def _joint(kin, chan, y):
-    """Joint p(x^n, y^n) indexed [y, x]."""
-    return chan * np.repeat(kin.T, y, axis=0)
+from .probability import LN2, CausalKernel, SequencePmf, _joint
 
 
 def directed_information(input_kernel: CausalKernel, channel: CausalKernel) -> float:
     """I(X^n -> Y^n) in bits for a feedback input law and a channel."""
-    _check_pair(input_kernel, channel)
+    joint = _joint(input_kernel, channel)
     chan = channel.values
-    joint = _joint(input_kernel.values, chan, channel.out_alphabet)
     py = np.broadcast_to(joint.sum(axis=1)[:, None], joint.shape)
     mask = joint > 0
     with np.errstate(divide="ignore"):
@@ -47,9 +29,8 @@ def directed_information(input_kernel: CausalKernel, channel: CausalKernel) -> f
 
 def directed_information_stepwise(input_kernel: CausalKernel, channel: CausalKernel):
     """Per-step terms I(X^i; Y_i | Y^{i-1}); they sum to the total."""
-    _check_pair(input_kernel, channel)
+    joint = _joint(input_kernel, channel)
     x, y, n = input_kernel.out_alphabet, channel.out_alphabet, channel.n
-    joint = _joint(input_kernel.values, channel.values, y)
     terms = []
     for i in range(1, n + 1):
         m = joint.reshape(y**i, y ** (n - i), x**i, x ** (n - i)).sum(axis=(1, 3))

@@ -16,7 +16,6 @@ the implied capacity (sum of multipliers plus one) is in bits.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,8 +308,9 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     Markov policy: in state s = y_(i-1), r stages before the end, x is drawn
     from the law attaining (V_0 = 0, one problem per state class)
     V_r(s) = max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) V_(r-1)(y)].
-    The certificate is kkt_check's at cfg.kkt_tolerance; a warning is issued
-    if it fails.  cfg.initialization and cfg.seed are not read.
+    The certificate is kkt_check's at cfg.kkt_tolerance; its passed field
+    says whether the solve certified.  cfg.initialization and cfg.seed are
+    not read.
     """
     cfg = cfg or OptimizerConfig()
     # raises on its size before the policy is composed
@@ -323,23 +323,7 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
         laws.insert(0, np.array([solved[c][0] for c in classes]))
     kernel = compose_causal(_output_state_policy(laws, s0))
     value, report = _certificate(channel, kernel.values, cfg.kkt_tolerance)
-    if not report.passed:
-        warnings.warn(
-            f"feedback solver stopped without a passing certificate "
-            f"(support violation {report.max_violation_support:.3e}, "
-            f"off-support violation {report.max_violation_offsupport:.3e})"
-        )
     return kernel, value, report
-
-
-class IterationCapWarning(UserWarning):
-    """An open-loop solve stopped at max_iterations; residual is its last Arimoto gap (nats)."""
-
-    def __init__(self, residual):
-        super().__init__(
-            f"open-loop solver hit the iteration cap with residual {residual:.3e} nats"
-        )
-        self.residual = residual
 
 
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
@@ -354,9 +338,11 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     stopping rule bounds the one-shot optimality residual (difference
     between the largest per-input divergence and the achieved value, an
     upper bound on the capacity gap whatever the step) by
-    cfg.kkt_tolerance nats.  Returns (pmf, value in bits) of the last
-    kept iterate; IterationCapWarning is issued if the budget of
-    cfg.max_iterations channel passes runs out first.
+    cfg.kkt_tolerance nats.  Returns (pmf, value in bits, residual in
+    nats) of the last kept iterate.  The residual exceeds
+    cfg.kkt_tolerance exactly when the budget of cfg.max_iterations
+    channel passes ran out first; the optimum is at most value plus
+    residual / ln 2 bits (Arimoto, IEEE T-IT 18(1), 1972).
     """
     cfg = cfg or OptimizerConfig()
     steps, ent = _channel_steps(spec, n, s0)
@@ -373,7 +359,6 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     # mu is the multiplier of the next step from a kept iterate; over
     # records whether p came from a step with mu > 1
     mu, over, prev = 1.0, False, -math.inf
-    converged = False
     for _ in range(cfg.max_iterations):
         divergences = _divergences(steps, ent, s0, n, p)
         value = float(p @ divergences)
@@ -383,23 +368,26 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
         if value < prev - 1e-11:
             raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")
         kept, kept_divergences, prev = p, divergences, value
-        if float(divergences.max()) - value <= cfg.kkt_tolerance:
-            converged = True
+        residual = float(divergences.max()) - value
+        if residual <= cfg.kkt_tolerance:
             break
         p, over = _ba_step(p, mu * divergences), mu > 1.0
         mu = min(2.0 * mu, MU_MAX)
-    if not converged:
-        warnings.warn(IterationCapWarning(float(kept_divergences.max()) - prev))
-    return SequencePmf(x_alph, n, kept), prev / LN2
+    return SequencePmf(x_alph, n, kept), prev / LN2, residual
 
 
-def upper_bound(spec, n, cfg: OptimizerConfig = None) -> float:
-    """Best per-use mutual information over initial states, in bits."""
-    best = -math.inf
+def upper_bound(spec, n, cfg: OptimizerConfig = None):
+    """(best per-use mutual information over initial states in bits, largest residual in nats).
+
+    The residual is the largest of maximize_mi_nofeedback's over the
+    initial states: every solve certified exactly when it is at most
+    cfg.kkt_tolerance.
+    """
+    best, worst = -math.inf, -math.inf
     for s0 in initial_states(spec):
-        _, value = maximize_mi_nofeedback(spec, n, s0, cfg)
-        best = max(best, value)
-    return best / n
+        _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
+        best, worst = max(best, value), max(worst, residual)
+    return best / n, worst
 
 
 def open_loop_match(spec, n, s0) -> MatchReport:

@@ -297,20 +297,31 @@ def factorize_causal(kernel: CausalKernel, tol=None) -> StepPolicy:
     return StepPolicy(a, b, n, d, tuple(steps))
 
 
+def _joint(input_kernel: CausalKernel, channel: CausalKernel):
+    """Joint p(x^n, y^n) = p(x^n || y^{n-1}) p(y^n || x^n), indexed [y^n, x^n].
+
+    Raises ValueError unless the two kernels form an (input, channel) pair.
+    """
+    if input_kernel.delay != 1 or channel.delay != 0:
+        raise ValueError("expected an input kernel (d=1) and a channel kernel (d=0)")
+    if input_kernel.n != channel.n:
+        raise ValueError("length mismatch")
+    if (
+        channel.in_alphabet != input_kernel.out_alphabet
+        or channel.out_alphabet != input_kernel.in_alphabet
+    ):
+        raise ValueError("alphabet mismatch")
+    return channel.values * np.repeat(input_kernel.values.T, channel.out_alphabet, axis=0)
+
+
 def chain_join(input_kernel: CausalKernel, channel: CausalKernel) -> SequencePmf:
     """Joint pmf p(x^n, y^n) = p(x^n || y^{n-1}) p(y^n || x^n).
 
     Returned over paired symbols z_i = x_i * |Y| + y_i so that the result
     is an ordinary SequencePmf over alphabet |X| * |Y|.
     """
-    if input_kernel.delay != 1 or channel.delay != 0:
-        raise ValueError("expected an input kernel (d=1) and a channel kernel (d=0)")
-    if input_kernel.n != channel.n:
-        raise ValueError("length mismatch")
+    joint = _joint(input_kernel, channel)
     x, y, n = input_kernel.out_alphabet, input_kernel.in_alphabet, input_kernel.n
-    if channel.in_alphabet != x or channel.out_alphabet != y:
-        raise ValueError("alphabet mismatch")
-    joint = channel.values * np.repeat(input_kernel.values.T, y, axis=0)
     arr = joint.T.reshape((x,) * n + (y,) * n)
     perm = [ax for i in range(n) for ax in (i, n + i)]
     return SequencePmf(x * y, n, arr.transpose(perm).reshape(-1))

@@ -8,7 +8,6 @@ inputs; the whole module finishes in a few minutes.
 import itertools
 import math
 import time
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -180,25 +179,29 @@ def test_criterion_5_upper_bound_column_desk_scale():
         values = {}
         for m, want in TABLE_UPPER.items():
             values[m] = upper_bound(MaryPost(m), 6, cfg)
-            assert values[m] == approx(want, abs=1e-3), f"m={m}"
+            assert values[m][0] == approx(want, abs=1e-3), f"m={m}"
         assert time.monotonic() - start < 300.0
         global _UPPER_M4
         _UPPER_M4 = values[4]
 
 
+# (per-use upper bound, residual in nats) of MaryPost(4) at n = 6
 _UPPER_M4 = None
 
 
 def test_criterion_6_feedback_strictly_helps_at_m4():
     with criterion("criterion 6 (feedback > no-feedback at m=4)"):
-        ub = _UPPER_M4
-        if ub is None:
+        if _UPPER_M4 is None:
             cfg = OptimizerConfig(max_iterations=200000, kkt_tolerance=1e-7)
-            ub = upper_bound(MaryPost(4), 6, cfg)
+            ub, residual = upper_bound(MaryPost(4), 6, cfg)
+        else:
+            ub, residual = _UPPER_M4
         fb = mary_feedback_capacity(4).capacity_bits
         assert ub == approx(0.9803, abs=1e-3)
         assert fb == approx(1.0000, abs=5e-4)
-        assert ub < fb
+        # Arimoto's bound: the 6-letter open-loop optimum per use is at
+        # most ub + residual / (6 ln 2) bits, whether or not the solve certified
+        assert ub + residual / (6 * math.log(2.0)) < fb
 
 
 def test_criterion_7_scheme_rate_column():
@@ -268,7 +271,7 @@ def test_criterion_8_property_suites():
         # the per-use upper bound tightens as the horizon grows
         cfg = OptimizerConfig(max_iterations=100000, kkt_tolerance=1e-8)
         for spec in (PostAlpha(0.5), MaryPost(1)):
-            values = [upper_bound(spec, n, cfg) for n in range(2, 7)]
+            values = [upper_bound(spec, n, cfg)[0] for n in range(2, 7)]
             for shorter, longer in zip(values, values[1:]):
                 assert longer <= shorter + 1e-6
 
@@ -376,7 +379,7 @@ def test_criterion_9_oracle_equivalence_small_instances():
                 kin = open_loop_kernel(SequencePmf(2, 1, np.array([1.0 - p1, p1])), 2)
                 best = max(best, directed_information(kin, chan))
             _, fb_value, _ = maximize_di_feedback(spec, 1, 0, TIGHT)
-            _, ol_value = maximize_mi_nofeedback(spec, 1, 0, TIGHT)
+            _, ol_value, _ = maximize_mi_nofeedback(spec, 1, 0, TIGHT)
             assert abs(fb_value - best) <= 1e-4
             assert abs(ol_value - best) <= 1e-4
 
@@ -384,7 +387,7 @@ def test_criterion_9_oracle_equivalence_small_instances():
             chan = build_sequence_kernel(spec, 2, 0).kernel
             # open-loop: exhaustive 1e-3 grid over the input simplex
             grid_ol = _mi_simplex_grid_max(chan.values, 1000)
-            _, ol_value = maximize_mi_nofeedback(spec, 2, 0, TIGHT)
+            _, ol_value, _ = maximize_mi_nofeedback(spec, 2, 0, TIGHT)
             assert abs(ol_value - grid_ol) <= 1e-4
             # feedback: exhaustive 1e-3 grid over per-state policies (the
             # class attaining the optimum, certified above), plus a zoomed

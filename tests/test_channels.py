@@ -286,3 +286,10 @@ def test_config_round_trip_is_exact():
 def test_config_rejects_unknown_family():
     with pytest.raises(ValueError):
         spec_from_config("family = trapdoor\n")
+
+
+def test_config_rejects_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match="unknown keys \\['beta'\\]"):
+        spec_from_config("family = post-alpha\nalpha = 0.5\nbeta = 3")
+    with pytest.raises(ValueError, match="missing keys \\['b'\\]"):
+        spec_from_config("family = post-ab\na = 0.5")

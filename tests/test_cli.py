@@ -7,6 +7,7 @@ import pytest
 
 import postcap.cli
 from postcap.cli import main
+from postcap.optimize import KktReport
 from postcap.tolerances import tolerances
 
 
@@ -204,6 +205,13 @@ def test_verify_kkt(capsys):
     out = capsys.readouterr().out
     assert "kkt/kkt_certificate" in out
     assert "result: pass" in out
+
+
+def test_verify_kkt_margin_includes_offsupport_violation(monkeypatch, capsys):
+    report = KktReport({}, 0.0, 3.5e-3, 0.0, 0.3, False, 1e-7)
+    monkeypatch.setattr(postcap.cli, "maximize_di_feedback", lambda *args: (None, 0.9, report))
+    assert main(["verify", "kkt", "--alpha", "0.3", "--n", "3"]) == 1
+    assert "kkt/kkt_certificate: margin=3.500000e-03 FAIL" in capsys.readouterr().out
 
 
 def test_verify_concavity(capsys):

@@ -36,7 +36,7 @@ from postcap import (
 from postcap import channels, optimize
 from postcap.channels import SingularChannelError
 from postcap.construction import _input_levels, feedback_policy
-from postcap.optimize import LOG_ZERO, IterationCapWarning
+from postcap.optimize import LOG_ZERO
 
 from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
 
@@ -83,23 +83,21 @@ def test_random_restarts_agree():
     # the open-loop solver reads initialization and seed; every start reaches the same value
     for spec, n in ((PostAlpha(0.4), 4), (MaryPost(2), 3)):
         values, pmfs = [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IterationCapWarning)
-            for init, seed in (("uniform", None), ("random", 1), ("random", 2), ("random", 3)):
-                cfg = OptimizerConfig(
-                    max_iterations=20000, kkt_tolerance=1e-8, initialization=init, seed=seed
-                )
-                pmf, value = maximize_mi_nofeedback(spec, n, 0, cfg)
-                values.append(value)
-                pmfs.append(pmf.values.tobytes())
+        for init, seed in (("uniform", None), ("random", 1), ("random", 2), ("random", 3)):
+            cfg = OptimizerConfig(
+                max_iterations=20000, kkt_tolerance=1e-8, initialization=init, seed=seed
+            )
+            pmf, value, residual = maximize_mi_nofeedback(spec, n, 0, cfg)
+            assert residual <= cfg.kkt_tolerance
+            values.append(value)
+            pmfs.append(pmf.values.tobytes())
         assert len(set(pmfs)) == 4
         assert max(values) - min(values) < 1e-10
 
 
 def test_solver_reports_nonconvergence():
     cfg = OptimizerConfig(max_iterations=3, kkt_tolerance=1e-12)
-    with pytest.warns(UserWarning):
-        _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
+    _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
     assert not report.passed
 
 
@@ -122,9 +120,7 @@ def test_solver_report_is_certificate_of_its_kernel():
         *((spec, n, s0, TIGHT) for spec, n, s0 in STAGE_EDGE_CASES),
     ]
     for spec, n, s0, cfg in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            kernel, value, report = maximize_di_feedback(spec, n, s0, cfg)
+        kernel, value, report = maximize_di_feedback(spec, n, s0, cfg)
         assert report.passed == (cfg is not budget)
         assert report == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance)
         chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
@@ -190,7 +186,7 @@ def test_certificate_beta_sum_identity_small_n():
 
 
 def test_open_loop_bsc_uniform():
-    pmf, value = maximize_mi_nofeedback(PostAB(0.9, 0.9), 1, 0, TIGHT)
+    pmf, value, _ = maximize_mi_nofeedback(PostAB(0.9, 0.9), 1, 0, TIGHT)
     assert value == approx(0.531004, abs=1e-6)
     assert pmf.values == approx([0.5, 0.5], abs=1e-4)
 
@@ -199,7 +195,7 @@ def test_open_loop_equals_feedback_for_binary_families():
     # the two optimal values coincide at every horizon for these families
     for spec in (PostAlpha(0.5), PostAB(0.9, 0.7)):
         _, fb_value, _ = maximize_di_feedback(spec, 2, 0, TIGHT)
-        _, ol_value = maximize_mi_nofeedback(spec, 2, 0, TIGHT)
+        _, ol_value, _ = maximize_mi_nofeedback(spec, 2, 0, TIGHT)
         assert ol_value == approx(fb_value, abs=1e-6)
         assert fb_value >= ol_value - 1e-9
 
@@ -251,9 +247,7 @@ def _recorded_solve(monkeypatch, spec, n, s0, cfg):
     inputs = []
     step = optimize._ba_step
     monkeypatch.setattr(optimize, "_ba_step", lambda p, d: inputs.append(p) or step(p, d))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pmf, value = maximize_mi_nofeedback(spec, n, s0, cfg)
+    pmf, value, _ = maximize_mi_nofeedback(spec, n, s0, cfg)
     monkeypatch.undo()
     # a retake starts again from the iterate the update before it started from
     return pmf, value, [k > 0 and p is inputs[k - 1] for k, p in enumerate(inputs)]
@@ -281,7 +275,8 @@ def test_open_loop_solver_value_matches_plain_ba(spec, horizons):
         for s0 in range(len(spec.state_classes)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, value = maximize_mi_nofeedback(spec, n, s0, cfg)
+                _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
+            assert residual <= cfg.kkt_tolerance
             _, want, certified = _reference_open_loop(spec, n, s0, cfg, mu_max=1.0)
             assert certified
             assert abs(value - want) <= cfg.kkt_tolerance / math.log(2.0)
@@ -306,14 +301,27 @@ def test_open_loop_solver_is_monotone_and_certifies_where_plain_ba_does(data):
     spec = CustomPost(tuple(raw / raw.sum(axis=1, keepdims=True)))
     n, s0 = data.draw(st.integers(1, 3)), data.draw(st.integers(0, y - 1))
     cfg = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
-    # a lowered objective raises RuntimeError, any other warning fails too
-    with warnings.catch_warnings(record=True) as caught:
+    # a lowered objective raises RuntimeError, any warning fails
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warnings.simplefilter("always", optimize.IterationCapWarning)
-        maximize_mi_nofeedback(spec, n, s0, cfg)
-    if caught:
+        _, _, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
+    if residual > cfg.kkt_tolerance:
         # ill-conditioned channels outrun the budget; plain Blahut-Arimoto must too
         assert not _reference_open_loop(spec, n, s0, cfg, mu_max=1.0)[2]
+
+
+def test_budget_stop_is_a_returned_residual_not_a_warning():
+    cfg = OptimizerConfig(max_iterations=5, kkt_tolerance=1e-7)
+    spec = MaryPost(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solves = [maximize_mi_nofeedback(spec, 6, s0, cfg) for s0 in channels.initial_states(spec)]
+        _, worst = upper_bound(spec, 6, cfg)
+        _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
+    residuals = [residual for _, _, residual in solves]
+    assert min(residuals) > cfg.kkt_tolerance
+    assert worst == max(residuals)
+    assert not report.passed
 
 
 def test_open_loop_solver_size_guard_raises_before_allocating():
@@ -346,13 +354,14 @@ def test_open_loop_solver_size_guard_raises_before_allocating():
 
 def test_upper_bound_scans_initial_states():
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-8)
-    value = upper_bound(MaryPost(1), 6, cfg)
+    value, residual = upper_bound(MaryPost(1), 6, cfg)
     assert value == approx(0.7918, abs=1e-3)
+    assert residual <= cfg.kkt_tolerance
 
 
 def test_upper_bound_dominates_closed_form():
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-8)
-    assert upper_bound(PostAlpha(0.5), 4, cfg) >= 0.321928 - 1e-6
+    assert upper_bound(PostAlpha(0.5), 4, cfg)[0] >= 0.321928 - 1e-6
 
 
 # -- open-loop match ------------------------------------------------------------------
