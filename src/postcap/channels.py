@@ -143,6 +143,8 @@ class CustomPost(_StateMatrices):
         for m in mats:
             if m.shape != (y, x):
                 raise ValueError("state matrices must share one shape")
+            if not np.isfinite(m).all():
+                raise ValueError("non-finite channel probability")
             if m.min() < -tolerances.entry_floor:
                 raise ValueError("negative channel probability")
             if np.abs(m.sum(axis=0) - 1.0).max() > tolerances.conditional_row:

@@ -268,6 +268,8 @@ def _verify_inequalities(parser, args):
 
 
 def cmd_verify(parser, args):
+    if args.suite in ("concavity", "all") and args.trials < 1:
+        parser.error("--trials must be at least 1")
     suites = []
     if args.suite in ("kkt", "all"):
         suites.append(("kkt", _verify_kkt(parser, args)))

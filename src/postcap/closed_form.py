@@ -3,23 +3,20 @@
 The binary families admit exact capacities, capacity-achieving pmfs and
 the transition probability of the symmetric Markov chain induced at the
 output.  The m-ary family's feedback capacity comes from a two-parameter
-stationary policy whose value we maximize on a grid with local
-refinement.  closed_form_solution looks up the solution of a channel
+stationary policy whose rate, a ratio, we maximize by Dinkelbach's
+fixed point.  closed_form_solution looks up the solution of a channel
 spec, so callers need not branch on its family.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import MaryPost, PostAB, PostAlpha, SingularChannelError, _check_entries
-from .probability import _freeze, binary_entropy
+from .probability import binary_entropy
 
 DEGENERATE_EPS = 1e-9
-MARY_COARSE_POINTS = 201  # per axis of mary_feedback_capacity's first grid
-MARY_REFINE_TOL = 1e-8  # cell width at which its refinement stops
 
 
 def _alpha_powers(alpha):
@@ -137,47 +134,26 @@ def _h2(p):
     return (0.0 - a * np.log2(a)) - b * np.log2(b)
 
 
-def _mary_rate_terms(gamma, delta):
-    """The terms of the m-ary rate that do not depend on m.
-
-    Returns (scale, offset) with rate = scale * lead(m, gamma) + offset:
-    scale = 2 delta / (2 delta + 1 + gamma) and offset = (1 + gamma) /
-    (2 delta + 1 + gamma) * h(delta).
-    """
+def _mary_lead(m, gamma):
+    """lead(gamma) = (1 - gamma) log2(m) / 2 + h((1 + gamma) / 2) - (1 - gamma), bits."""
     gamma = np.asarray(gamma, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    denom = np.asarray(2.0 * delta + 1.0 + gamma)  # an array, so its buffer can be reused
-    scale = 2.0 * delta / denom
-    offset = np.divide(1.0 + gamma, denom, out=denom)
-    offset *= _h2(delta)
-    return scale, offset
-
-
-def _mary_rate(m, gamma, scale, offset):
-    """scale * lead(m, gamma) + offset, the rate from its m-independent terms."""
-    gamma = np.asarray(gamma, dtype=float)
-    lead = 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
-    rate = scale * lead
-    rate += offset
-    return rate
+    return 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
 
 
 def mary_rate_objective(m, gamma, delta):
     """Per-use rate of the two-parameter stationary policy, in bits.
 
     gamma is the stay-at-state-m input weight used below state m, delta
-    the reset weight used at state m; both broadcast as arrays.  Each entropy
-    term depends on one of them, so on a column of gammas and a row of deltas
-    it is computed once per axis value.
+    the reset weight used at state m; both broadcast as arrays.  The rate
+    is N / D with N = 2 delta lead(gamma) + (1 + gamma) h(delta) and
+    D = 2 delta + 1 + gamma.  Each entropy term depends on one of them, so
+    on a column of gammas and a row of deltas it is computed once per axis
+    value.
     """
-    return _mary_rate(m, gamma, *_mary_rate_terms(gamma, delta))
-
-
-@functools.cache
-def _mary_coarse_terms():
-    """Axis of the coarse grid and its (scale, offset), shared by every m; built on first use."""
-    axis = np.linspace(0.0, 1.0, MARY_COARSE_POINTS)
-    return (_freeze(axis), *map(_freeze, _mary_rate_terms(axis[:, None], axis)))
+    gamma = np.asarray(gamma, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    numer = 2.0 * delta * _mary_lead(m, gamma) + (1.0 + gamma) * _h2(delta)
+    return numer / (2.0 * delta + 1.0 + gamma)
 
 
 def mary_state_policy(m, gamma, delta):
@@ -212,32 +188,42 @@ def mary_stationary_distribution(m, gamma, delta):
 
 
 def mary_feedback_capacity(m) -> MaryFeedbackSolution:
-    """Maximize the stationary-policy rate over (gamma, delta) in [0,1]^2.
+    """Maximize the stationary-policy rate R = N / D over (gamma, delta) in [0,1]^2.
 
-    Coarse grid, then local refinement down to MARY_REFINE_TOL in each
-    coordinate; each grid is evaluated on its axes, gammas as a column.
-    The coarse grid's m-independent terms are computed once per process.
+    Dinkelbach's parametric step (Management Science 13(7), 1967): with
+    lambda = R at the current point, N - lambda D is concave in each
+    coordinate, and its maximizers have closed forms.  From gamma = delta =
+    1/2, each step sets
+        delta <- 1/2 - tanh(ln2 (lambda - lead(gamma)) / (1 + gamma)) / 2,
+        gamma <- max(0, -tanh(ln2 k / 2)),
+            k = log2(m) - 2 + (lambda - h(delta)) / delta,
+    the stationary point in delta and then the maximizer in gamma, and
+    then lambda <- R(gamma, delta).  N - lambda D >= 0 at the new point,
+    so the rate never decreases; the loop stops at the first step that
+    does not raise it and returns the point before that step.  Since
+    lead >= 0 and lambda <= log2(m + 1) <= 20 bits, delta stays above
+    2^-40.  The fixed point is not proven a global maximum; the tests
+    check it against a dense grid of mary_rate_objective.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    gs, scale, offset = _mary_coarse_terms()
-    ds = gs
-    rates = _mary_rate(m, gs[:, None], scale, offset)
-    width = gs[1] - gs[0]
+    _check_entries("stationary law", m + 1)  # before the iteration, whose bounds assume it
+    ln2 = math.log(2.0)
+    g = d = 0.5
+    rate = float(mary_rate_objective(m, g, d))
     while True:
-        i, j = divmod(int(np.argmax(rates)), ds.size)
-        g, d = float(gs[i]), float(ds[j])
-        if width <= MARY_REFINE_TOL:
+        d_new = 0.5 - 0.5 * math.tanh(ln2 * (rate - float(_mary_lead(m, g))) / (1.0 + g))
+        k = math.log2(m) - 2.0 + (rate - binary_entropy(d_new)) / d_new
+        g_new = max(0.0, -math.tanh(0.5 * ln2 * k))
+        rate_new = float(mary_rate_objective(m, g_new, d_new))
+        if rate_new <= rate:
             break
-        width /= 8.0
-        gs = np.clip(np.linspace(g - 8 * width, g + 8 * width, 33), 0.0, 1.0)
-        ds = np.clip(np.linspace(d - 8 * width, d + 8 * width, 33), 0.0, 1.0)
-        rates = mary_rate_objective(m, gs[:, None], ds)
+        g, d, rate = g_new, d_new, rate_new
     return MaryFeedbackSolution(
         m=m,
         gamma_star=g,
         delta_star=d,
-        capacity_bits=float(mary_rate_objective(m, g, d)),
+        capacity_bits=rate,
         stationary_pi=mary_stationary_distribution(m, g, d),
     )
 

@@ -85,7 +85,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.kkt_tolerance <= 0:
+        if not self.kkt_tolerance > 0:  # also rejects NaN
             raise ValueError("tolerances must be positive")
         if self.initialization not in ("uniform", "random"):
             raise ValueError("initialization must be 'uniform' or 'random'")
@@ -285,20 +285,21 @@ def _stage_law(mat, bonus, max_iterations):
 
     mat is W, rows y.  Blahut-Arimoto runs until the Arimoto gap first falls
     to BA_GAP; Newton steps, which alone readmit a dropped input, then take
-    it to STAGE_GAP.  Both count against max_iterations.
+    it to STAGE_GAP.  Both count against max_iterations.  The law returned
+    is the last one evaluated, so the value is always its own.
     """
     ent = (mat * np.log(mat, where=mat > 0, out=np.zeros_like(mat))).sum(axis=0)
     p, newton = np.full(mat.shape[1], 1.0 / mat.shape[1]), False
     for _ in range(max_iterations):
-        q = mat @ p
+        law, q = p, mat @ p
         d = ent - np.log(q, where=q > 0, out=np.zeros_like(q)) @ mat + bonus
-        value = float(p @ d)
+        value = float(law @ d)
         gap = float(d.max()) - value
-        if gap <= STAGE_GAP and value - d[p > 0].min() <= STAGE_GAP:
+        if gap <= STAGE_GAP and value - d[law > 0].min() <= STAGE_GAP:
             break
         newton = newton or gap <= BA_GAP
-        p = _newton_step(mat, p, q, d, value) if newton else _ba_step(p, d)
-    return p, value
+        p = _newton_step(mat, law, q, d, value) if newton else _ba_step(law, d)
+    return law, value
 
 
 def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):

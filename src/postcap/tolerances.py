@@ -7,6 +7,7 @@ functions that take a ``tol`` argument.  Tolerance files and channel
 spec configs share one ``key = value`` line format.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -29,7 +30,10 @@ class ToleranceConfig:
         for key, value in kwargs.items():
             if not hasattr(self, key):
                 raise KeyError(f"unknown tolerance field {key!r}")
-            setattr(self, key, float(value))
+            value = float(value)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {key} must be finite and non-negative, got {value}")
+            setattr(self, key, value)
 
 
 tolerances = ToleranceConfig()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def test_custom_spec_validation():
         CustomPost((eye,))  # state count != output alphabet
     with pytest.raises(ValueError):
         CustomPost((np.array([[0.7, 0.2], [0.2, 0.8]]),) * 2)
+
+
+def test_custom_spec_rejects_non_finite_entries():
+    # NaN fails every comparison, so the range and column-sum checks alone let it through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CustomPost(([[bad, 0.5], [bad, 0.5]], [[0.5, 0.5], [0.5, 0.5]]))
 
 
 # -- sequence kernels ----------------------------------------------------------

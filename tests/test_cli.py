@@ -219,6 +219,15 @@ def test_verify_concavity(capsys):
     assert "concavity/midpoint_concavity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["concavity", "all"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_concavity_needs_a_trial(suite, trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_config_file_sets_tolerances(tmp_path, capsys):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text("pmf_sum = 1e-8\n# comment\n")
@@ -239,6 +248,19 @@ def test_config_file_rejects_unknown_key(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "capacity", "post-alpha", "--alpha", "0.5"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_config_file_rejects_non_finite_or_negative_tolerance(tmp_path, value):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"pmf_sum = {value}\n")
+    before = tolerances.pmf_sum
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "capacity", "post-alpha", "--alpha", "0.5"])
+    assert exc.value.code == 2
+    assert tolerances.pmf_sum == before
+    with pytest.raises(ValueError):
+        tolerances.update(pmf_sum=float(value))
 
 
 def test_console_entry_point_runs():

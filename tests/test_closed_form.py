@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,10 +176,31 @@ def _mary_meshgrid_search(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 100, 1000, 1024])
 def test_mary_axis_search_equals_meshgrid_search(m):
+    # the fixed point against the grid search it replaced; both are limited
+    # by the flatness of the rate at its top, so the argmax agrees to 1e-7
     sol = mary_feedback_capacity(m)
-    g, d, cap, pi = _mary_meshgrid_search(m)
-    assert (sol.gamma_star, sol.delta_star, sol.capacity_bits) == (g, d, cap)
-    assert np.array_equal(sol.stationary_pi, pi)
+    g, d, cap, _ = _mary_meshgrid_search(m)
+    assert abs(sol.capacity_bits - cap) <= 1e-14
+    assert abs(sol.gamma_star - g) <= 1e-7 and abs(sol.delta_star - d) <= 1e-7
+    want = mary_stationary_distribution(m, sol.gamma_star, sol.delta_star)
+    assert np.array_equal(sol.stationary_pi, want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 100])
+def test_mary_capacity_not_below_dense_grid(m):
+    axis = np.linspace(0.0, 1.0, 2001)
+    # 2001 x 2001 rates, in blocks of gamma rows to keep the arrays small
+    best = max(mary_rate_objective(m, axis[i : i + 401, None], axis).max() for i in range(0, 2001, 401))
+    assert mary_feedback_capacity(m).capacity_bits >= best - 1e-15
+
+
+def test_mary_capacity_finite_at_stationary_law_cap():
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        sol = mary_feedback_capacity(2**20 - 1)
+    assert math.isfinite(sol.capacity_bits) and 0.0 < sol.capacity_bits <= 20.0
+    with pytest.raises(ValueError):
+        mary_feedback_capacity(2**20)
 
 
 def test_mary_objective_on_axes_equals_meshgrid():

@@ -101,6 +101,17 @@ def test_solver_reports_nonconvergence():
     assert not report.passed
 
 
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_stage_law_returns_the_value_of_its_law_at_the_budget(budget):
+    mat = MaryPost(4).class_matrices[0]
+    p, value = optimize._stage_law(mat, np.zeros(mat.shape[1]), budget)
+    q = mat @ p
+    # sum_x p(x) D(W(.|x) || W p) in nats, with 0 log 0 = 0
+    logs = np.log(np.where(mat > 0, mat, 1.0) / q[:, None])
+    assert value == approx(float(p @ (mat * logs).sum(axis=0)), abs=1e-12)
+    assert p.sum() == approx(1.0, abs=1e-12)
+
+
 def test_solver_report_is_certificate_of_its_kernel():
     # the solver and kkt_check share one certificate path, so the reports
     # are equal field by field, also for the kernel of a budget stop
@@ -485,6 +496,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(kkt_tolerance=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(kkt_tolerance=math.nan)
     with pytest.raises(ValueError):
         OptimizerConfig(initialization="warm")
 
