@@ -67,6 +67,17 @@ def _write(path, text):
             fh.write(text)
 
 
+def _tolerance(text):
+    """The type of --tol: a finite float >= 0 (0 is legal, see cmd_capacity)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
 def _spec_from_args(parser, args):
     if args.target == "post-alpha":
         if args.alpha is None or not 0.0 <= args.alpha <= 1.0:
@@ -130,6 +141,8 @@ def _table1_rows(args, cfg):
 
 
 def cmd_table1(parser, args):
+    if args.max_m < 1:
+        parser.error("--max-m must be at least 1")
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
     rows = _table1_rows(args, cfg)
     if args.format == "csv":
@@ -319,7 +332,7 @@ def build_parser():
     cap.add_argument("--numeric-check", action="store_true")
     cap.add_argument("--n", type=int, default=3, help="depth of the numeric check")
     cap.add_argument("--s0", type=int, default=0)
-    cap.add_argument("--tol", type=float, default=1e-4)
+    cap.add_argument("--tol", type=_tolerance, default=1e-4)
     cap.add_argument("--max-iterations", type=int, default=20000)
 
     tab = sub.add_parser("table1", help="m-ary family capacity table")
@@ -346,7 +359,7 @@ def build_parser():
     ver.add_argument("--grid", type=int, default=200)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=100)
-    ver.add_argument("--tol", type=float, default=1e-4)
+    ver.add_argument("--tol", type=_tolerance, default=1e-4)
     ver.add_argument("--max-iterations", type=int, default=20000)
     return parser
 

@@ -1,10 +1,12 @@
 """Directed information between input kernels and channel kernels.
 
-All quantities are returned in bits.  directed_information and its
-per-step terms sum over the nonzero terms of the dense joint (0 log 0 =
-0) with compensated summation, so the per-step decomposition identity
-holds to ~1e-12 even at n = 8.  mutual_information_given_state builds no
-joint: it runs the matrix-free channel passes of the open-loop solver.
+All quantities are returned in bits and sum over the nonzero terms of
+the dense joint (0 log 0 = 0).  directed_information sums them with
+numpy's pairwise summation, measured within a few ulp of math.fsum on
+solved kernels up to n = 8; directed_information_stepwise keeps
+math.fsum, so its per-step decomposition identity holds to ~1e-12 even
+at n = 8.  mutual_information_given_state builds no joint: it runs the
+matrix-free channel passes of the open-loop solver.
 """
 
 import math
@@ -23,7 +25,7 @@ def directed_information(input_kernel: CausalKernel, channel: CausalKernel) -> f
     mask = joint > 0
     with np.errstate(divide="ignore"):
         terms = joint[mask] * (np.log2(chan[mask]) - np.log2(py[mask]))
-    value = math.fsum(terms)
+    value = float(terms.sum())
     return 0.0 if -1e-12 < value < 0.0 else value
 
 

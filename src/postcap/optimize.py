@@ -280,16 +280,20 @@ def _newton_step(mat, p, q, d, value):
     return p / p.sum()
 
 
-def _stage_law(mat, bonus, max_iterations):
+def _stage_law(mat, bonus, max_iterations, start=None):
     """Input law maximizing sum_x p(x) [D(W(.|x) || W p) + bonus(x)], and the maximum (nats).
 
-    mat is W, rows y.  Blahut-Arimoto runs until the Arimoto gap first falls
-    to BA_GAP; Newton steps, which alone readmit a dropped input, then take
-    it to STAGE_GAP.  Both count against max_iterations.  The law returned
-    is the last one evaluated, so the value is always its own.
+    mat is W, rows y.  From the uniform law, Blahut-Arimoto runs until the
+    Arimoto gap first falls to BA_GAP; Newton steps, which alone readmit a
+    dropped input, then take it to STAGE_GAP.  Given a start law, Newton
+    steps run from it at once: a start may hold inputs at exactly 0 that
+    this problem needs, and Blahut-Arimoto never moves a zero.  Every
+    evaluation counts against max_iterations.  The law returned is the
+    last one evaluated, so the value is always its own.
     """
     ent = (mat * np.log(mat, where=mat > 0, out=np.zeros_like(mat))).sum(axis=0)
-    p, newton = np.full(mat.shape[1], 1.0 / mat.shape[1]), False
+    newton = start is not None
+    p = start if newton else np.full(mat.shape[1], 1.0 / mat.shape[1])
     for _ in range(max_iterations):
         law, q = p, mat @ p
         d = ent - np.log(q, where=q > 0, out=np.zeros_like(q)) @ mat + bonus
@@ -309,17 +313,24 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     Markov policy: in state s = y_(i-1), r stages before the end, x is drawn
     from the law attaining (V_0 = 0, one problem per state class)
     V_r(s) = max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) V_(r-1)(y)].
-    The certificate is kkt_check's at cfg.kkt_tolerance; its passed field
-    says whether the solve certified.  cfg.initialization and cfg.seed are
-    not read.
+    The stage laws converge to the stationary feedback policy as r grows,
+    so the first stage starts from the uniform law and each later one
+    starts Newton steps from the previous stage's law of its class (see
+    _stage_law: Blahut-Arimoto could not readmit an input that law holds
+    at 0).  The certificate is kkt_check's at cfg.kkt_tolerance; its
+    passed field says whether the solve certified.  cfg.initialization and
+    cfg.seed are not read.
     """
     cfg = cfg or OptimizerConfig()
     # raises on its size before the policy is composed
     channel = build_sequence_kernel(spec, n, s0).kernel
     classes, mats = spec.state_classes, spec.class_matrices
     values, laws = np.zeros(len(classes)), []
+    solved = dict.fromkeys(mats, (None, None))
     for _ in range(n):
-        solved = {c: _stage_law(w, values @ w, cfg.max_iterations) for c, w in mats.items()}
+        solved = {
+            c: _stage_law(w, values @ w, cfg.max_iterations, solved[c][0]) for c, w in mats.items()
+        }
         values = np.array([solved[c][1] for c in classes])
         laws.insert(0, np.array([solved[c][0] for c in classes]))
     kernel = compose_causal(_output_state_policy(laws, s0))

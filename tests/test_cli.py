@@ -228,6 +228,33 @@ def test_verify_concavity_needs_a_trial(suite, trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_m", ["0", "-5"])
+def test_table1_needs_a_row(max_m, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--check", "--max-m", max_m])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--max-m" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "kkt", "--n", "2"],
+        ["capacity", "post-alpha", "--alpha", "0.3", "--numeric-check", "--n", "2"],
+    ],
+)
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+def test_tol_must_be_finite_and_non_negative(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
 def test_config_file_sets_tolerances(tmp_path, capsys):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text("pmf_sum = 1e-8\n# comment\n")

@@ -8,6 +8,7 @@ from pytest import approx
 from postcap import (
     CustomPost,
     MaryPost,
+    OptimizerConfig,
     PostAB,
     PostAlpha,
     SequencePmf,
@@ -16,12 +17,14 @@ from postcap import (
     concavity_probe,
     directed_information,
     directed_information_stepwise,
+    maximize_di_feedback,
     mutual_information_given_state,
     open_loop_kernel,
     random_policy,
     step_kernel,
 )
 from postcap.construction import feedback_policy
+from postcap.probability import _joint
 
 NOISELESS = PostAB(1.0, 1.0)
 
@@ -129,6 +132,20 @@ def test_di_bounds_hold():
         kin = compose_causal(random_policy(2, 2, 3, 1, rng))
         val = directed_information(kin, chan)
         assert 0.0 <= val <= 3.0 + 1e-12
+
+
+@pytest.mark.parametrize("spec, n", [(PostAB(0.9, 0.7), 8), (MaryPost(4), 4)])
+def test_directed_information_sum_within_4_ulp_of_fsum(spec, n):
+    # a left-to-right sum of these terms is 81 to 569 ulp off on these kernels
+    cfg = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
+    for s0 in (0, 1):
+        kin, _, _ = maximize_di_feedback(spec, n, s0, cfg)
+        chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
+        joint = _joint(kin, chan)
+        py = np.broadcast_to(joint.sum(axis=1)[:, None], joint.shape)
+        mask = joint > 0
+        exact = math.fsum(joint[mask] * (np.log2(chan.values[mask]) - np.log2(py[mask])))
+        assert abs(directed_information(kin, chan) - exact) <= 4 * math.ulp(exact)
 
 
 # -- mutual information given the initial state -------------------------------

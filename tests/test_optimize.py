@@ -35,7 +35,7 @@ from postcap import (
 )
 from postcap import channels, optimize
 from postcap.channels import SingularChannelError
-from postcap.construction import _input_levels, feedback_policy
+from postcap.construction import _input_levels, _output_state_policy, feedback_policy
 from postcap.optimize import LOG_ZERO
 
 from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
@@ -136,6 +136,59 @@ def test_solver_report_is_certificate_of_its_kernel():
         assert report == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance)
         chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
         assert abs(value - directed_information(kernel, chan)) <= 1e-12
+
+
+def _random_custom(rng):
+    """CustomPost with 2 or 3 outputs and inputs; about 30% of the entries are 0."""
+    y, x = rng.integers(2, 4, size=2)
+    mats = []
+    for _ in range(y):
+        mat = rng.uniform(size=(y, x)) * (rng.uniform(size=(y, x)) > 0.3)
+        mat[rng.integers(y, size=x), np.arange(x)] += 0.1
+        mats.append(mat / mat.sum(axis=0))
+    return CustomPost(tuple(mats))
+
+
+def _cold_start_solve(stage_law, spec, n, s0, cfg):
+    """The feedback DP with every stage from the uniform law.
+
+    Returns the stage values (nats) in solve order and the value (bits) of
+    the composed policy.
+    """
+    classes, mats = spec.state_classes, spec.class_matrices
+    values, laws, stages = np.zeros(len(classes)), [], []
+    for _ in range(n):
+        solved = {c: stage_law(w, values @ w, cfg.max_iterations) for c, w in mats.items()}
+        stages.extend(solved[c][1] for c in mats)
+        values = np.array([solved[c][1] for c in classes])
+        laws.insert(0, np.array([solved[c][0] for c in classes]))
+    kernel = compose_causal(_output_state_policy(laws, s0))
+    channel = build_sequence_kernel(spec, n, s0).kernel
+    return np.array(stages), optimize._certificate(channel, kernel.values, cfg.kkt_tolerance)[0]
+
+
+def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
+    # the oracle starts every stage from the uniform law: Blahut-Arimoto, then Newton
+    cold, calls = optimize._stage_law, []
+
+    def recording(mat, bonus, max_iterations, start=None):
+        law, value = cold(mat, bonus, max_iterations, start)
+        calls.append((start is not None, value))
+        return law, value
+
+    monkeypatch.setattr(optimize, "_stage_law", recording)
+    rng = np.random.default_rng(2)
+    cases = [(_random_custom(rng), 6, 0) for _ in range(300)]
+    cases += [(MaryPost(4), 3, s0) for s0 in range(5)]
+    for spec, n, s0 in cases:
+        calls.clear()
+        _, value, report = maximize_di_feedback(spec, n, s0, TIGHT)
+        want_stages, want_value = _cold_start_solve(cold, spec, n, s0, TIGHT)
+        warm, stages = zip(*calls)
+        first = len(spec.class_matrices)
+        assert not any(warm[:first]) and all(warm[first:])
+        assert np.abs(np.array(stages) - want_stages).max() / math.log(2.0) <= 1e-12
+        assert abs(value - want_value) <= 1e-12
 
 
 def test_implied_capacity_tracks_value():
