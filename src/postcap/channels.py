@@ -45,8 +45,12 @@ class _StateMatrices:
     class_matrices maps the representative state of each class to its
     matrix p(y | x, s), rows y and columns x; state_classes gives the
     representative of every state; input_size is the number of columns.
-    All are built on first use.
+    All are built on first use.  free_labels holds the symbols any
+    relabelling of which leaves the channel unchanged (see
+    _lumped_channel); none by default.
     """
+
+    free_labels = ()
 
     @cached_property
     def state_classes(self):
@@ -97,7 +101,8 @@ class MaryPost(_StateMatrices):
     From any state below m, an input below m is delivered intact or
     replaced by m, each with probability 1/2, while input m always
     yields m.  From state m every input below m yields m, and input m
-    resets the output to 0.  The states below m form one class.
+    resets the output to 0.  The states below m form one class, and a
+    relabelling of 1..m-1 leaves the channel unchanged.
     """
 
     m: int
@@ -113,6 +118,18 @@ class MaryPost(_StateMatrices):
     @cached_property
     def input_size(self):
         return self.m + 1
+
+    @property
+    def free_labels(self):
+        return range(1, self.m)
+
+    def label_core(self, k):
+        """This channel on 0, m and its first k free labels: (MaryPost(k + 1), symbols).
+
+        symbols[c] is the symbol of this channel that symbol c of the
+        core stands for: c itself, and m for k + 1.
+        """
+        return MaryPost(k + 1), np.array([*range(k + 1), self.m])
 
     @cached_property
     def class_matrices(self):
@@ -302,6 +319,181 @@ def _divergences(steps, ent, s0, n, p):
     q = _forward_pass(steps, s0, n, p)
     ln_q = np.log(q, where=q > 0, out=np.zeros_like(q))
     return _backward_pass(steps, ent, s0, n, ln_q)
+
+
+def _check_lumped_size(spec, n, s0):
+    """Raise ValueError unless the lumped channel of (spec, n, s0) fits; allocates little.
+
+    Its input orbits are counted first, level by level, so a huge n
+    stops at the first level above DENSE_ENTRY_CAP; then its nonzeros,
+    one per (input orbit, reachable output sequence), from the
+    transitions of the core spec.label_core(K), K = min(free labels, n).
+    s0 must be a symbol every relabelling fixes.  Returns (core, core
+    initial state, fixed core symbols, transitions), where transitions
+    holds the arrays (key, choice, y, w, new): entry t is one
+    step of an input prefix with k labels in state s, key k |core| + s,
+    to the choice'th input in the order fixed symbols, labels 1..k, new
+    label k + 1, and to output y, with probability w; new says the input
+    is the new label.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    labels = spec.free_labels
+    if not 0 <= s0 < spec.input_size or s0 in labels:
+        raise ValueError(f"initial state {s0} out of range or not fixed by relabelling")
+    n_fixed, most = spec.input_size - len(labels), min(len(labels), n)
+    # orbits[k]: input orbits of the current prefix length with k labels
+    orbits = [1]
+    for _ in range(n):
+        grown = [o * (n_fixed + k) for k, o in enumerate(orbits)] + [0]
+        for k, o in enumerate(orbits[:most]):
+            grown[k + 1] += o
+        orbits = grown if grown[-1] else grown[:-1]
+        _check_entries("lumped channel's input orbits", sum(orbits))
+
+    core, symbols = spec.label_core(most)
+    size = len(symbols)
+    fixed = [c for c in range(size) if c not in core.free_labels]
+    steps = np.stack([step_kernel(core, s) for s in range(size)])
+    rows = []
+    for k in range(most + 1):
+        choices = fixed + list(core.free_labels[: k + (k < most)])
+        for s in range(size):
+            for c, x in enumerate(choices):
+                ys = np.flatnonzero(steps[s, :, x])
+                rows.extend((k * size + s, c, y, steps[s, y, x], c == len(fixed) + k) for y in ys)
+    transitions = tuple(np.array(column) for column in zip(*rows))
+    key, _, y, _, new = transitions
+    start = int(np.flatnonzero(symbols == s0)[0])
+    paths = np.zeros((most + 1, size))
+    paths[0, start] = 1.0
+    for _ in range(n):
+        grown = np.zeros_like(paths)
+        np.add.at(grown, (key // size + new, y), paths[key // size, key % size])
+        paths = grown
+    _check_entries("lumped channel", int(paths.sum()))
+    return core, start, fixed, transitions
+
+
+def _orbit_walk(tree, columns, count, fixed_index, most):
+    """Input orbit of each of count sequences, given one array of symbols per position.
+
+    fixed_index[d] is the place of symbol d among the fixed symbols, or
+    -1 for a free label, in an integer dtype that holds every symbol; the
+    j-th distinct label of a sequence is read as label j of the orbit's
+    representative, of which there are at most `most`.  tree[i][v] is the
+    first child of node v at level i, whose children are its choices in
+    _check_lumped_size's order.
+    """
+    n_fixed = int((fixed_index >= 0).sum())
+    node, k = np.zeros(count, np.intp), np.zeros(count, np.int16)
+    # seen[r, j]: the symbol read as label j + 1 in sequence r, -1 if none yet
+    seen = np.full((count, most + 1), -1, fixed_index.dtype)
+    for first, d in zip(tree, columns):
+        match = seen == d[:, None]
+        hit = match.any(axis=1)
+        choice = fixed_index[d]
+        label = match.argmax(axis=1)
+        label[~hit] = k[~hit]
+        free = choice < 0
+        choice[free] = n_fixed + label[free]
+        fresh = np.flatnonzero(free & ~hit)
+        seen[fresh, k[fresh]] = d[fresh]
+        k[fresh] += 1
+        node = first[node]
+        node += choice
+    return node
+
+
+@dataclass(frozen=True)
+class _LumpedChannel:
+    """p(y^n || x^n, s0) of a channel with free labels, on orbits of sequences.
+
+    An orbit is the set of sequences one relabelling of the free labels
+    carries into another, named by its representative, in which the
+    j-th distinct label is the j-th free label.  I(X^n; Y^n | s0) is
+    invariant under relabelling and concave, so an orbit-constant law
+    attains its maximum; with P the orbit masses of such a law, Q = A P
+    is the output orbit masses, q(y) = Q_Y / |O_Y| on orbit Y, and
+    D_X = ent_X - sum_Y A[Y, X] ln(Q_Y / |O_Y|) is the divergence of
+    every sequence of orbit X.  Nonzero t of A is values[t] at (rows[t],
+    cols[t]), W(y | x) for the representative x of orbit cols[t] and one
+    output y of orbit rows[t] (repeated pairs add); ent_X = sum_y W ln W.
+    Input and output orbits share one numbering, with sizes |O| and
+    log_sizes ln |O|; tree holds the representatives' prefixes, level by
+    level (see _orbit_walk).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    ent: np.ndarray
+    sizes: np.ndarray
+    log_sizes: np.ndarray
+    tree: tuple
+
+    def divergences(self, law):
+        """D_X in nats for the orbit masses law; outputs with Q = 0 take ln(Q / |O|) = 0."""
+        q = np.bincount(self.rows, self.values * law[self.cols], minlength=len(self.sizes))
+        ln_q = np.log(q, where=q > 0, out=self.log_sizes.copy()) - self.log_sizes
+        return self.ent - np.bincount(self.cols, self.values * ln_q[self.rows], minlength=len(self.sizes))
+
+
+def _lumped_channel(spec, n, s0):
+    """The _LumpedChannel of (spec, n, s0), built position by position after _check_lumped_size.
+
+    One tree holds the representatives' prefixes: level i lists them with
+    each node's children in the order of _check_lumped_size's choices.
+    Each (representative prefix, output prefix) pair with positive
+    probability steps through the transitions of its label count and
+    state; at the end the outputs' orbits are read off the same tree.
+    """
+    core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
+    size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
+    out = out.astype(np.int16)
+    count = np.bincount(key, minlength=(most + 1) * size)
+    offset = np.cumsum(count) - count
+
+    tree, labels = [], np.zeros(1, np.intp)
+    for _ in range(n):
+        children = n_fixed + labels + (labels < most)
+        first = np.cumsum(children) - children
+        tree.append(first)
+        parent = np.repeat(labels, children)
+        labels = parent + (np.arange(len(parent)) - np.repeat(first, children) == n_fixed + parent)
+    falling = np.cumprod([1.0, *(len(spec.free_labels) - np.arange(most, dtype=float))])
+
+    # one entry per (representative prefix, output prefix) pair; the
+    # arrays of the last level are the channel's nonzeros, so they are
+    # kept narrow and replaced in place
+    node, here, prob = np.zeros(1, np.intp), np.array([start]), np.ones(1)
+    ys = np.empty((1, 0), np.int16)
+    for first in tree:
+        counts = count[here]
+        parent = np.repeat(np.arange(len(here)), counts)
+        t = (offset[here] - np.cumsum(counts) + counts)[parent]
+        t += np.arange(len(parent))
+        node = first[node[parent]]
+        node += choice[t]
+        prob = prob[parent]
+        prob *= weight[t]
+        ys = np.column_stack((ys[parent], out[t]))
+        here = (here[parent] // size + new[t]) * size + out[t]
+    del parent, t, here
+    fixed_index = np.full(size, -1, np.int16)
+    fixed_index[fixed] = np.arange(n_fixed)
+    rows = _orbit_walk(tree, ys.T, len(ys), fixed_index, most)
+    del ys
+    sizes = falling[labels]
+    return _LumpedChannel(
+        rows,
+        node,
+        prob,
+        np.bincount(node, prob * np.log(prob), minlength=len(sizes)),
+        sizes,
+        np.log(sizes),
+        tuple(tree),
+    )
 
 
 def _inverse_class_matrices(spec):

@@ -23,6 +23,7 @@ from .channels import (
     PostAB,
     PostAlpha,
     _check_entries,
+    _check_lumped_size,
     _check_pass_size,
     build_sequence_kernel,
 )
@@ -127,7 +128,10 @@ def _table1_rows(args, cfg):
     # the largest m raises here if it is too large, before any row is solved
     _check_entries("stationary law", max(ms, default=0) + 1)
     if bounded:
-        _check_pass_size(MaryPost(bounded[-1]), args.n, 0)
+        # upper_bound's path: orbits where there are free labels (m >= 2)
+        spec = MaryPost(bounded[-1])
+        for s0 in (0, spec.m):
+            (_check_lumped_size if spec.free_labels else _check_pass_size)(spec, args.n, s0)
 
     return [
         (
@@ -143,6 +147,10 @@ def _table1_rows(args, cfg):
 def cmd_table1(parser, args):
     if args.max_m < 1:
         parser.error("--max-m must be at least 1")
+    if args.n < 1:
+        parser.error("--n must be at least 1")
+    if args.upper_bound_max_m < 0:
+        parser.error("--upper-bound-max-m must be at least 0")
     cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
     rows = _table1_rows(args, cfg)
     if args.format == "csv":

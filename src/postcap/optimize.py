@@ -6,9 +6,14 @@ directed information over n uses is an n-stage dynamic program over the
 output state (Chen & Berger, IEEE T-IT 51(3), 2005; Permuter, Cuff,
 Van Roy & Weissman, IEEE T-IT 54(7), 2008).  The open-loop solver
 maximizes over plain input pmfs matrix-free, one channel position at a
-time for q = W p and for the divergences of W from q.  Both run the same
-Blahut-Arimoto update; the open-loop solver over-relaxes it and falls
-back to the plain step whenever an over-relaxed one lowers the objective.
+time for q = W p and for the divergences of W from q.  upper_bound runs
+the same loop on input orbits where the channel has free labels
+(MaryPost): I(X^n; Y^n | s0) is concave and invariant under relabelling
+them, so it iterates on orbit masses through one sparse lumped channel,
+two np.bincount products per pass, and never forms a per-sequence pmf.
+Both solvers run the same Blahut-Arimoto update; the open-loop loop
+over-relaxes it (Matz & Duhamel, ITW 2004) and falls back to the plain
+step whenever an over-relaxed one lowers the objective.
 
 Certificates: a first-order report with one multiplier per output
 context, in nats from one log pass over the dense channel's output law;
@@ -20,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import _channel_steps, _divergences, _forward_pass, build_sequence_kernel, initial_states
+from .channels import (
+    _channel_steps,
+    _divergences,
+    _forward_pass,
+    _lumped_channel,
+    build_sequence_kernel,
+    initial_states,
+)
 from .closed_form import closed_form_solution
 from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
 from .directed_info import mutual_information_given_state
@@ -338,41 +350,25 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     return kernel, value, report
 
 
-def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
-    """Maximize I(X^n; Y^n | s0) over plain input pmfs.
+def _over_relaxed_ba(divergences_of, p, cfg):
+    """Safeguarded over-relaxed Blahut-Arimoto from the law p.
 
-    Safeguarded over-relaxed Blahut-Arimoto through the matrix-free
-    channel passes: p <- p exp(mu D) / Z, with D the per-input
+    p <- p exp(mu D) / Z, with D = divergences_of(p) the per-input
     divergences.  mu starts at 1 and doubles after each step from a kept
     iterate, up to MU_MAX.  A step with mu > 1 that lowers the objective
     is rejected: the plain step (mu = 1, which never lowers it) is taken
     from the last kept iterate instead, and mu starts again at 1.  The
     stopping rule bounds the one-shot optimality residual (difference
-    between the largest per-input divergence and the achieved value, an
-    upper bound on the capacity gap whatever the step) by
-    cfg.kkt_tolerance nats.  Returns (pmf, value in bits, residual in
-    nats) of the last kept iterate.  The residual exceeds
-    cfg.kkt_tolerance exactly when the budget of cfg.max_iterations
-    channel passes ran out first; the optimum is at most value plus
-    residual / ln 2 bits (Arimoto, IEEE T-IT 18(1), 1972).
+    between the largest divergence and the achieved value, an upper bound
+    on the capacity gap whatever the step) by cfg.kkt_tolerance nats;
+    cfg.max_iterations bounds the evaluations of divergences_of.  Returns
+    (law, value, residual) of the last kept iterate, both in nats.
     """
-    cfg = cfg or OptimizerConfig()
-    steps, ent = _channel_steps(spec, n, s0)
-    x_alph = steps.shape[2]
-    size = x_alph**n
-
-    if cfg.initialization == "random":
-        rng = np.random.default_rng(cfg.seed)
-        p = rng.uniform(0.05, 1.0, size)
-        p /= p.sum()
-    else:
-        p = np.full(size, 1.0 / size)
-
     # mu is the multiplier of the next step from a kept iterate; over
     # records whether p came from a step with mu > 1
     mu, over, prev = 1.0, False, -math.inf
     for _ in range(cfg.max_iterations):
-        divergences = _divergences(steps, ent, s0, n, p)
+        divergences = divergences_of(p)
         value = float(p @ divergences)
         if over and value < prev:
             p, mu, over = _ba_step(kept, kept_divergences), 1.0, False
@@ -385,19 +381,58 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
             break
         p, over = _ba_step(p, mu * divergences), mu > 1.0
         mu = min(2.0 * mu, MU_MAX)
-    return SequencePmf(x_alph, n, kept), prev / LN2, residual
+    return kept, prev, residual
+
+
+def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
+    """Maximize I(X^n; Y^n | s0) over plain input pmfs.
+
+    _over_relaxed_ba through the matrix-free channel passes, from the
+    uniform pmf or, with cfg.initialization "random", a seeded random
+    one.  Returns (pmf, value in bits, residual in nats) of the last kept
+    iterate.  The residual exceeds cfg.kkt_tolerance exactly when the
+    budget of cfg.max_iterations channel passes ran out first; the
+    optimum is at most value plus residual / ln 2 bits (Arimoto, IEEE
+    T-IT 18(1), 1972).
+    """
+    cfg = cfg or OptimizerConfig()
+    steps, ent = _channel_steps(spec, n, s0)
+    x_alph = steps.shape[2]
+    size = x_alph**n
+
+    if cfg.initialization == "random":
+        rng = np.random.default_rng(cfg.seed)
+        p = rng.uniform(0.05, 1.0, size)
+        p /= p.sum()
+    else:
+        p = np.full(size, 1.0 / size)
+    pmf, value, residual = _over_relaxed_ba(lambda law: _divergences(steps, ent, s0, n, law), p, cfg)
+    return SequencePmf(x_alph, n, pmf), value / LN2, residual
 
 
 def upper_bound(spec, n, cfg: OptimizerConfig = None):
     """(best per-use mutual information over initial states in bits, largest residual in nats).
 
-    The residual is the largest of maximize_mi_nofeedback's over the
-    initial states: every solve certified exactly when it is at most
-    cfg.kkt_tolerance.
+    Each initial state's solve is maximize_mi_nofeedback's, except that
+    a spec with free labels, solved from the uniform law, runs the same
+    loop on the orbit masses of its lumped channel, from P proportional
+    to the orbit sizes (the uniform sequence law).  Every sequence
+    iterate is then constant on orbits, and so are its divergences, so
+    the orbit masses are the sequence solve's in exact arithmetic and the
+    residual is still Arimoto's bound.  In floating point the two agree
+    to rounding, which the over-relaxed steps can amplify into a
+    different path to the same optimum.  Every solve certified exactly
+    when the residual returned is at most cfg.kkt_tolerance.
     """
+    cfg = cfg or OptimizerConfig()
     best, worst = -math.inf, -math.inf
     for s0 in initial_states(spec):
-        _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
+        if spec.free_labels and s0 not in spec.free_labels and cfg.initialization == "uniform":
+            lumped = _lumped_channel(spec, n, s0)
+            _, value, residual = _over_relaxed_ba(lumped.divergences, lumped.sizes / lumped.sizes.sum(), cfg)
+            value /= LN2
+        else:
+            _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
         best, worst = max(best, value), max(worst, residual)
     return best / n, worst
 

@@ -54,7 +54,7 @@ TABLE_SCHEME = [
     0.0000, 0.3333, 0.6667, 1.0000, 1.3333, 1.6667,
     2.0000, 2.3333, 2.6667, 3.0000, 3.3333,
 ]
-TABLE_UPPER = {1: 0.7918, 2: 0.8568, 4: 0.9803}
+TABLE_UPPER = {1: 0.7918, 2: 0.8568, 4: 0.9803, 8: 1.1711, 16: 1.3865}
 
 
 @contextmanager
@@ -171,15 +171,14 @@ def test_criterion_4_feedback_capacity_column():
 
 
 def test_criterion_5_upper_bound_column_desk_scale():
-    # rows m >= 8 of the upper-bound column stay out of desk scale and are
-    # deliberately not reproduced here
-    with criterion("criterion 5 (upper-bound column, m <= 4)"):
+    with criterion("criterion 5 (upper-bound column, m <= 16)"):
         start = time.monotonic()
         cfg = OptimizerConfig(max_iterations=200000, kkt_tolerance=1e-7)
         values = {}
         for m, want in TABLE_UPPER.items():
             values[m] = upper_bound(MaryPost(m), 6, cfg)
             assert values[m][0] == approx(want, abs=1e-3), f"m={m}"
+            assert values[m][1] <= cfg.kkt_tolerance, f"m={m}"
         assert time.monotonic() - start < 300.0
         global _UPPER_M4
         _UPPER_M4 = values[4]

@@ -23,8 +23,12 @@ from postcap import (
 from postcap.channels import (
     _backward_pass,
     _channel_steps,
+    _check_lumped_size,
+    _divergences,
     _forward_pass,
     _inverse_class_matrices,
+    _lumped_channel,
+    _orbit_walk,
     _vector_levels,
 )
 from postcap.closed_form import mary_state_policy
@@ -185,6 +189,57 @@ def test_channel_passes_match_dense_kernel(spec):
             ln_c = np.log(chan, where=chan > 0, out=np.zeros_like(chan))
             want = (chan * (ln_c - ln_q[:, None])).sum(axis=0)
             assert np.abs(_backward_pass(steps, ent, s0, n, ln_q) - want).max() < 1e-12
+
+
+# -- lumped channel on label-symmetry orbits --------------------------------------
+
+
+def _sequence_orbits(m, n, lumped):
+    """Orbit of every sequence of MaryPost(m), in sequence order."""
+    index = np.arange((m + 1) ** n)
+    columns = [(index // (m + 1) ** (n - 1 - i) % (m + 1)).astype(np.int16) for i in range(n)]
+    fixed_index = np.full(m + 1, -1, np.int16)
+    fixed_index[[0, m]] = (0, 1)
+    return _orbit_walk(lumped.tree, columns, len(index), fixed_index, min(m - 1, n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_lumped_divergences_match_channel_passes(m):
+    # at an orbit-constant law every sequence of an orbit has the orbit's divergence
+    rng = np.random.default_rng(13)
+    spec = MaryPost(m)
+    for n in (1, 2, 3, 4):
+        for s0 in (0, m):
+            lumped = _lumped_channel(spec, n, s0)
+            orbits = _sequence_orbits(m, n, lumped)
+            assert lumped.sizes.sum() == (m + 1) ** n
+            assert np.array_equal(np.bincount(orbits), lumped.sizes)
+            masses = rng.dirichlet(np.ones(len(lumped.sizes)))
+            p = masses[orbits] / lumped.sizes[orbits]
+            steps, ent = _channel_steps(spec, n, s0)
+            want = _divergences(steps, ent, s0, n, p)
+            assert np.abs(lumped.divergences(masses)[orbits] - want).max() < 1e-12
+
+
+def test_lumped_channel_counts_at_n6():
+    # the orbits and nonzeros do not depend on m once m - 1 >= n free labels exist
+    for m, s0, orbits, nonzeros in (
+        (4, 0, 2990, 17782),
+        (8, 0, 3263, 19648),
+        (8, 8, 3263, 8764),
+        (1024, 0, 3263, 19648),
+    ):
+        lumped = _lumped_channel(MaryPost(m), 6, s0)
+        assert (len(lumped.sizes), len(lumped.values)) == (orbits, nonzeros)
+
+
+def test_lumped_size_check():
+    with pytest.raises(ValueError, match="lumped channel would hold 3943253 entries"):
+        _check_lumped_size(MaryPost(4), 9, 0)
+    with pytest.raises(ValueError, match="not fixed by relabelling"):
+        _check_lumped_size(MaryPost(4), 3, 2)
+    with pytest.raises(ValueError, match="positive"):
+        _check_lumped_size(MaryPost(4), 0, 0)
 
 
 # -- inverses: one-step matrices and the vector recursion ----------------------

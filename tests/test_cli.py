@@ -139,29 +139,46 @@ def test_table1_check_fails_on_an_uncertified_upper_bound(monkeypatch, capsys):
 
 
 def test_table1_oversized_upper_bound_exits_2_before_solving(capsys):
-    # m = 16 at n = 6 exceeds the library's size cap; the rows below it
-    # must not be solved first
+    # the lumped channel of m = 16 at n = 9 exceeds the library's size cap;
+    # the rows below it must not be solved first
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        main(["table1", "--max-m", "16", "--upper-bound-max-m", "16"])
+        main(["table1", "--n", "9", "--max-m", "16", "--upper-bound-max-m", "16"])
     assert exc.value.code == 2
     assert time.perf_counter() - start < 2.0
-    assert "cap" in capsys.readouterr().err
+    assert "lumped channel would hold 6729540 entries (cap" in capsys.readouterr().err
 
 
-def test_table1_oversized_step_tensor_exits_2_without_building_it(capsys):
-    # at n = 1, 1025^1 entries pass the cap but the step tensor, 1025^3
-    # entries (8.6 GB), does not; the check must not build it
+def test_table1_oversized_horizon_exits_2_without_building_it(capsys):
+    # the orbit count stops at the first level above the cap: neither a core
+    # channel nor the (m + 1)^2 one-step matrices of m = 1024 are built
     tracemalloc.start()
     try:
         with pytest.raises(SystemExit) as exc:
-            main(["table1", "--n", "1", "--max-m", "1024", "--upper-bound-max-m", "1024"])
+            main(["table1", "--n", "1000000", "--max-m", "1024", "--upper-bound-max-m", "1024"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert exc.value.code == 2
     assert peak < 2**20
-    assert "cap" in capsys.readouterr().err
+    assert "entries (cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0", "--upper-bound-max-m", "0"], "--n must be at least 1"),
+        (["--upper-bound-max-m", "-1"], "--upper-bound-max-m must be at least 0"),
+    ],
+    ids=["n-zero", "upper-bound-max-m-negative"],
+)
+def test_table1_rejects_bad_sizes_up_front(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -389,23 +389,23 @@ def test_budget_stop_is_a_returned_residual_not_a_warning():
 
 
 def test_open_loop_solver_size_guard_raises_before_allocating():
-    # max(|X|, |Y|)^6 = 17^6 entries exceed DENSE_ENTRY_CAP; without the
-    # guard the passes would allocate about 190 MB per array
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="entries"):
-            upper_bound(MaryPost(16), 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    # the step tensor alone would hold 1025^3 and 513^3 entries (8.6 and
-    # 1.1 GB) although max(|X|, |Y|)^n is under the cap
-    for m, n in ((1024, 1), (512, 2)):
+    requests = [
+        # the lumped channel of MaryPost(16) at n = 9 would hold 6.7e6 nonzeros
+        lambda: upper_bound(MaryPost(16), 9),
+        # the orbit count stops at the first level above the cap
+        lambda: upper_bound(MaryPost(1024), 10**9),
+        # max(|X|, |Y|)^6 = 17^6 entries: about 190 MB per array of the passes
+        lambda: maximize_mi_nofeedback(MaryPost(16), 6, 0),
+        # the step tensor alone would hold 1025^3 and 513^3 entries (8.6 and
+        # 1.1 GB) although max(|X|, |Y|)^n is under the cap
+        lambda: maximize_mi_nofeedback(MaryPost(1024), 1, 0),
+        lambda: maximize_mi_nofeedback(MaryPost(512), 2, 0),
+    ]
+    for request in requests:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="entries"):
-                upper_bound(MaryPost(m), n)
+                request()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,6 +414,8 @@ def test_open_loop_solver_size_guard_raises_before_allocating():
         maximize_mi_nofeedback(MaryPost(1), 0, 0)
     with pytest.raises(ValueError, match="out of range"):
         maximize_mi_nofeedback(MaryPost(1), 3, -1)
+    with pytest.raises(ValueError, match="positive"):
+        upper_bound(MaryPost(4), 0)
 
 
 def test_upper_bound_scans_initial_states():
@@ -421,6 +423,29 @@ def test_upper_bound_scans_initial_states():
     value, residual = upper_bound(MaryPost(1), 6, cfg)
     assert value == approx(0.7918, abs=1e-3)
     assert residual <= cfg.kkt_tolerance
+
+
+def test_upper_bound_on_orbits_matches_sequence_solves():
+    # upper_bound solves MaryPost(m >= 2) on orbits, maximize_mi_nofeedback on sequences
+    cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-9)
+    for m in (2, 3, 4):
+        for n in (2, 3):
+            value, residual = upper_bound(MaryPost(m), n, cfg)
+            want = max(maximize_mi_nofeedback(MaryPost(m), n, s0, cfg)[1] for s0 in (0, m))
+            assert residual <= cfg.kkt_tolerance
+            assert abs(value - want / n) <= cfg.kkt_tolerance / (n * math.log(2.0))
+
+
+def test_upper_bound_on_orbits_memory():
+    # the matrix-free passes peaked at 1.13 MiB here; building the lumped
+    # channel and solving on it stay near that
+    tracemalloc.start()
+    try:
+        upper_bound(MaryPost(4), 6, OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_upper_bound_dominates_closed_form():
