@@ -371,37 +371,38 @@ def _check_lumped_size(spec, n, s0):
         grown = np.zeros_like(paths)
         np.add.at(grown, (key // size + new, y), paths[key // size, key % size])
         paths = grown
-    _check_entries("lumped channel", int(paths.sum()))
+    nonzeros = int(paths.sum())
+    _check_entries("lumped channel", nonzeros)
+    # _lumped_channel's orbit walk keeps most + 1 symbols per nonzero
+    _check_entries("lumped channel's orbit walk", nonzeros * (most + 1))
     return core, start, fixed, transitions
 
 
-def _orbit_walk(tree, columns, count, fixed_index, most):
-    """Input orbit of each of count sequences, given one array of symbols per position.
+def _orbit_step(first, node, k, seen, d, fixed_index):
+    """Advance the orbit walk of some sequences by one symbol each; returns their new nodes.
 
-    fixed_index[d] is the place of symbol d among the fixed symbols, or
-    -1 for a free label, in an integer dtype that holds every symbol; the
-    j-th distinct label of a sequence is read as label j of the orbit's
-    representative, of which there are at most `most`.  tree[i][v] is the
-    first child of node v at level i, whose children are its choices in
-    _check_lumped_size's order.
+    node is each sequence's node in the representatives' tree, k its
+    number of distinct free labels so far and seen[r, j] the symbol it
+    reads as label j + 1, -1 if none yet (one column more than there are
+    labels); k and seen are updated in place.  d holds the sequences'
+    next symbols and fixed_index[d] the place of symbol d among the fixed
+    symbols, or -1 for a free label, in an integer dtype that holds every
+    symbol.  first[v] is the first child of node v, whose children are
+    its choices in _check_lumped_size's order.
     """
     n_fixed = int((fixed_index >= 0).sum())
-    node, k = np.zeros(count, np.intp), np.zeros(count, np.int16)
-    # seen[r, j]: the symbol read as label j + 1 in sequence r, -1 if none yet
-    seen = np.full((count, most + 1), -1, fixed_index.dtype)
-    for first, d in zip(tree, columns):
-        match = seen == d[:, None]
-        hit = match.any(axis=1)
-        choice = fixed_index[d]
-        label = match.argmax(axis=1)
-        label[~hit] = k[~hit]
-        free = choice < 0
-        choice[free] = n_fixed + label[free]
-        fresh = np.flatnonzero(free & ~hit)
-        seen[fresh, k[fresh]] = d[fresh]
-        k[fresh] += 1
-        node = first[node]
-        node += choice
+    match = seen == d[:, None]
+    hit = match.any(axis=1)
+    choice = fixed_index[d]
+    label = match.argmax(axis=1)
+    label[~hit] = k[~hit]
+    free = choice < 0
+    choice[free] = n_fixed + label[free]
+    fresh = np.flatnonzero(free & ~hit)
+    seen[fresh, k[fresh]] = d[fresh]
+    k[fresh] += 1
+    node = first[node]
+    node += choice
     return node
 
 
@@ -421,7 +422,7 @@ class _LumpedChannel:
     output y of orbit rows[t] (repeated pairs add); ent_X = sum_y W ln W.
     Input and output orbits share one numbering, with sizes |O| and
     log_sizes ln |O|; tree holds the representatives' prefixes, level by
-    level (see _orbit_walk).
+    level (see _lumped_channel).
     """
 
     rows: np.ndarray
@@ -446,7 +447,8 @@ def _lumped_channel(spec, n, s0):
     each node's children in the order of _check_lumped_size's choices.
     Each (representative prefix, output prefix) pair with positive
     probability steps through the transitions of its label count and
-    state; at the end the outputs' orbits are read off the same tree.
+    state, and its output prefix walks the same tree (_orbit_step), so
+    the outputs' orbits are known at the last level.
     """
     core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
     size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
@@ -463,11 +465,13 @@ def _lumped_channel(spec, n, s0):
         labels = parent + (np.arange(len(parent)) - np.repeat(first, children) == n_fixed + parent)
     falling = np.cumprod([1.0, *(len(spec.free_labels) - np.arange(most, dtype=float))])
 
-    # one entry per (representative prefix, output prefix) pair; the
-    # arrays of the last level are the channel's nonzeros, so they are
-    # kept narrow and replaced in place
-    node, here, prob = np.zeros(1, np.intp), np.array([start]), np.ones(1)
-    ys = np.empty((1, 0), np.int16)
+    fixed_index = np.full(size, -1, np.int16)
+    fixed_index[fixed] = np.arange(n_fixed)
+    # one entry per (representative prefix, output prefix) pair, with the
+    # output prefix's node (rows) and orbit walk state (k, seen); the
+    # arrays of the last level are the channel's nonzeros
+    node, rows, here, prob = np.zeros(1, np.intp), np.zeros(1, np.intp), np.array([start]), np.ones(1)
+    k, seen = np.zeros(1, np.int16), np.full((1, most + 1), -1, np.int16)
     for first in tree:
         counts = count[here]
         parent = np.repeat(np.arange(len(here)), counts)
@@ -477,13 +481,12 @@ def _lumped_channel(spec, n, s0):
         node += choice[t]
         prob = prob[parent]
         prob *= weight[t]
-        ys = np.column_stack((ys[parent], out[t]))
+        k, seen, rows = k[parent], seen[parent], rows[parent]
         here = (here[parent] // size + new[t]) * size + out[t]
-    del parent, t, here
-    fixed_index = np.full(size, -1, np.int16)
-    fixed_index[fixed] = np.arange(n_fixed)
-    rows = _orbit_walk(tree, ys.T, len(ys), fixed_index, most)
-    del ys
+        d = out[t]
+        del parent, t  # before the walk's temporaries
+        rows = _orbit_step(first, rows, k, seen, d, fixed_index)
+    del here, k, seen, d
     sizes = falling[labels]
     return _LumpedChannel(
         rows,

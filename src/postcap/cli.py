@@ -23,8 +23,6 @@ from .channels import (
     PostAB,
     PostAlpha,
     _check_entries,
-    _check_lumped_size,
-    _check_pass_size,
     build_sequence_kernel,
 )
 from .closed_form import (
@@ -36,7 +34,13 @@ from .closed_form import (
 )
 from .construction import _input_levels, inequality_sweep
 from .directed_info import concavity_probe
-from .optimize import OptimizerConfig, maximize_di_feedback, open_loop_match, upper_bound
+from .optimize import (
+    OptimizerConfig,
+    _check_upper_bound_size,
+    maximize_di_feedback,
+    open_loop_match,
+    upper_bound,
+)
 from .probability import SequencePmf, compose_causal, random_policy
 from .tolerances import _read_key_values, tolerances
 
@@ -128,10 +132,7 @@ def _table1_rows(args, cfg):
     # the largest m raises here if it is too large, before any row is solved
     _check_entries("stationary law", max(ms, default=0) + 1)
     if bounded:
-        # upper_bound's path: orbits where there are free labels (m >= 2)
-        spec = MaryPost(bounded[-1])
-        for s0 in (0, spec.m):
-            (_check_lumped_size if spec.free_labels else _check_pass_size)(spec, args.n, s0)
+        _check_upper_bound_size(MaryPost(bounded[-1]), args.n)
 
     return [
         (

@@ -27,6 +27,8 @@ import numpy as np
 
 from .channels import (
     _channel_steps,
+    _check_lumped_size,
+    _check_pass_size,
     _divergences,
     _forward_pass,
     _lumped_channel,
@@ -384,6 +386,13 @@ def _over_relaxed_ba(divergences_of, p, cfg):
     return kept, prev, residual
 
 
+def _start_law(weights, cfg):
+    """Normalized start law: weights, times seeded uniform(0.05, 1) draws under random initialization."""
+    if cfg.initialization == "random":
+        weights = weights * np.random.default_rng(cfg.seed).uniform(0.05, 1.0, len(weights))
+    return weights / weights.sum()
+
+
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     """Maximize I(X^n; Y^n | s0) over plain input pmfs.
 
@@ -398,38 +407,40 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     cfg = cfg or OptimizerConfig()
     steps, ent = _channel_steps(spec, n, s0)
     x_alph = steps.shape[2]
-    size = x_alph**n
-
-    if cfg.initialization == "random":
-        rng = np.random.default_rng(cfg.seed)
-        p = rng.uniform(0.05, 1.0, size)
-        p /= p.sum()
-    else:
-        p = np.full(size, 1.0 / size)
+    p = _start_law(np.ones(x_alph**n), cfg)
     pmf, value, residual = _over_relaxed_ba(lambda law: _divergences(steps, ent, s0, n, law), p, cfg)
     return SequencePmf(x_alph, n, pmf), value / LN2, residual
+
+
+def _check_upper_bound_size(spec, n):
+    """Raise ValueError, allocating little, unless every solve of upper_bound(spec, n) fits."""
+    check = _check_lumped_size if spec.free_labels else _check_pass_size
+    for s0 in initial_states(spec):
+        check(spec, n, s0)
 
 
 def upper_bound(spec, n, cfg: OptimizerConfig = None):
     """(best per-use mutual information over initial states in bits, largest residual in nats).
 
     Each initial state's solve is maximize_mi_nofeedback's, except that
-    a spec with free labels, solved from the uniform law, runs the same
-    loop on the orbit masses of its lumped channel, from P proportional
-    to the orbit sizes (the uniform sequence law).  Every sequence
-    iterate is then constant on orbits, and so are its divergences, so
-    the orbit masses are the sequence solve's in exact arithmetic and the
-    residual is still Arimoto's bound.  In floating point the two agree
-    to rounding, which the over-relaxed steps can amplify into a
-    different path to the same optimum.  Every solve certified exactly
-    when the residual returned is at most cfg.kkt_tolerance.
+    a spec with free labels runs the same loop on the orbit masses of its
+    lumped channel, from P proportional to the orbit sizes (the uniform
+    sequence law) or, with cfg.initialization "random", to the sizes
+    times seeded random draws (an orbit-constant random law).  Every
+    sequence iterate is then constant on orbits, and so are its
+    divergences, so the orbit masses are those of the sequence solve
+    from the same law in exact arithmetic and the residual is still
+    Arimoto's bound.  In floating point the two agree to rounding, which
+    the over-relaxed steps can amplify into a different path to the same
+    optimum.  Every solve certified exactly when the residual returned
+    is at most cfg.kkt_tolerance.
     """
     cfg = cfg or OptimizerConfig()
     best, worst = -math.inf, -math.inf
     for s0 in initial_states(spec):
-        if spec.free_labels and s0 not in spec.free_labels and cfg.initialization == "uniform":
+        if spec.free_labels:
             lumped = _lumped_channel(spec, n, s0)
-            _, value, residual = _over_relaxed_ba(lumped.divergences, lumped.sizes / lumped.sizes.sum(), cfg)
+            _, value, residual = _over_relaxed_ba(lumped.divergences, _start_law(lumped.sizes, cfg), cfg)
             value /= LN2
         else:
             _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)

@@ -28,7 +28,7 @@ from postcap.channels import (
     _forward_pass,
     _inverse_class_matrices,
     _lumped_channel,
-    _orbit_walk,
+    _orbit_step,
     _vector_levels,
 )
 from postcap.closed_form import mary_state_policy
@@ -200,7 +200,11 @@ def _sequence_orbits(m, n, lumped):
     columns = [(index // (m + 1) ** (n - 1 - i) % (m + 1)).astype(np.int16) for i in range(n)]
     fixed_index = np.full(m + 1, -1, np.int16)
     fixed_index[[0, m]] = (0, 1)
-    return _orbit_walk(lumped.tree, columns, len(index), fixed_index, min(m - 1, n))
+    rows, k = np.zeros(len(index), np.intp), np.zeros(len(index), np.int16)
+    seen = np.full((len(index), min(m - 1, n) + 1), -1, np.int16)
+    for first, d in zip(lumped.tree, columns):
+        rows = _orbit_step(first, rows, k, seen, d, fixed_index)
+    return rows
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -236,6 +240,9 @@ def test_lumped_channel_counts_at_n6():
 def test_lumped_size_check():
     with pytest.raises(ValueError, match="lumped channel would hold 3943253 entries"):
         _check_lumped_size(MaryPost(4), 9, 0)
+    # 642,929 nonzeros fit, but not the orbit walk's 4 symbols for each
+    with pytest.raises(ValueError, match="lumped channel's orbit walk would hold 2571716 entries"):
+        _check_lumped_size(MaryPost(4), 8, 0)
     with pytest.raises(ValueError, match="not fixed by relabelling"):
         _check_lumped_size(MaryPost(4), 3, 2)
     with pytest.raises(ValueError, match="positive"):

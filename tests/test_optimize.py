@@ -436,6 +436,32 @@ def test_upper_bound_on_orbits_matches_sequence_solves():
             assert abs(value - want / n) <= cfg.kkt_tolerance / (n * math.log(2.0))
 
 
+def test_upper_bound_random_start_runs_on_orbits():
+    # a random start stays on orbits: MaryPost(16) at n = 5 would need
+    # 17^5-entry channel passes, over the size cap
+    uniform = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-9)
+    random = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-9, initialization="random", seed=3)
+    with pytest.raises(ValueError, match="channel pass"):
+        maximize_mi_nofeedback(MaryPost(16), 5, 0, random)
+    for spec, n in ((MaryPost(3), 3), (MaryPost(16), 5)):
+        want, _ = upper_bound(spec, n, uniform)
+        value, residual = upper_bound(spec, n, random)
+        assert residual <= random.kkt_tolerance
+        assert abs(value - want) <= 2 * random.kkt_tolerance / (n * math.log(2.0))
+
+
+def test_upper_bound_size_check_follows_the_solve_path():
+    # passes for a spec without free labels, the lumped channel otherwise
+    optimize._check_upper_bound_size(MaryPost(1), 20)
+    with pytest.raises(ValueError, match="channel pass"):
+        optimize._check_upper_bound_size(MaryPost(1), 21)
+    optimize._check_upper_bound_size(MaryPost(16), 7)
+    with pytest.raises(ValueError, match="lumped channel's orbit walk"):
+        optimize._check_upper_bound_size(MaryPost(16), 8)
+    with pytest.raises(ValueError, match="channel pass"):
+        optimize._check_upper_bound_size(PostAlpha(0.5), 21)
+
+
 def test_upper_bound_on_orbits_memory():
     # the matrix-free passes peaked at 1.13 MiB here; building the lumped
     # channel and solving on it stay near that
