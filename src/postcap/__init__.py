@@ -57,6 +57,7 @@ from .directed_info import (
     mutual_information_given_state,
 )
 from .optimize import (
+    FeedbackReport,
     KktReport,
     MatchReport,
     OptimizerConfig,

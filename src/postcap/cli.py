@@ -37,6 +37,7 @@ from .directed_info import concavity_probe
 from .optimize import (
     OptimizerConfig,
     _check_upper_bound_size,
+    kkt_check,
     maximize_di_feedback,
     open_loop_match,
     upper_bound,
@@ -108,7 +109,8 @@ def cmd_capacity(parser, args):
     if not args.numeric_check:
         return 0
     cfg = OptimizerConfig(max_iterations=args.max_iterations, kkt_tolerance=1e-7)
-    _, value, report = maximize_di_feedback(spec, args.n, args.s0, cfg)
+    kernel, value, _ = maximize_di_feedback(spec, args.n, args.s0, cfg)
+    report = kkt_check(kernel, spec, args.n, args.s0, cfg.kkt_tolerance)
     gap = abs(value / args.n - closed)
     print(f"numeric_value_bits_per_use: {value / args.n:.6f}")
     print(f"numeric_gap: {gap:.3e}")
@@ -232,7 +234,8 @@ def _verify_kkt(parser, args):
     spec = _binary_spec(parser, args)
     closed = closed_form_solution(spec).capacity_bits
     cfg = OptimizerConfig(max_iterations=args.max_iterations, kkt_tolerance=1e-7)
-    _, value, report = maximize_di_feedback(spec, args.n, args.s0, cfg)
+    kernel, value, _ = maximize_di_feedback(spec, args.n, args.s0, cfg)
+    report = kkt_check(kernel, spec, args.n, args.s0, cfg.kkt_tolerance)
     # report.passed reads the same three diagnostics against its tolerance
     margin = max(report.max_violation_support, report.max_violation_offsupport, report.polyhedron_gap)
     return [

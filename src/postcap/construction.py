@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
-from .probability import SequencePmf, StepPolicy, binary_entropy
+from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy
 
 
 def _output_chain(delta):
@@ -230,6 +230,11 @@ class InequalityReport:
         return "\n".join(rows) + "\n"
 
 
+def _entropy_bits(p):
+    """Binary entropy of each entry of p in (0, 1), in bits."""
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
 def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
     """Evaluate every supporting inequality on open parameter grids.
 
@@ -259,34 +264,38 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
         (1.0 + np.sqrt(np.maximum(1.0 - quad, 0.0))) / (2.0 * paa) - 1.0,
     )
 
+    # the (a, b) grid points with a + b > 1 in row-major order, without a
+    # meshgrid; each margin is reduced before the next is formed, and the
+    # complements 1 - a and 1 - b are formed where used, so only a, b and
+    # gamma stay alive across checks
     axis = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    a, b = np.meshgrid(axis, axis, indexing="ij")
-    base = a + b - 1.0 > 1e-9
-    a, b = a[base], b[base]
-    abar, bbar = 1.0 - a, 1.0 - b
-    ha = -(a * np.log2(a) + abar * np.log2(abar))
-    hb = -(b * np.log2(b) + bbar * np.log2(bbar))
-    gamma = 2.0 ** ((hb - ha) / (a + b - 1.0))
-    balanced = a * abar <= b * bbar
+    rows, cols = np.nonzero(axis[:, None] + axis - 1.0 > 1e-9)
+    a, b = axis[rows], axis[cols]
+    del rows, cols
+    gamma = 2.0 ** ((_entropy_bits(b) - _entropy_bits(a)) / (a + b - 1.0))
+    balanced = a * (1.0 - a) <= b * (1.0 - b)
 
-    disc1 = gamma**2 * (abar + b) ** 2 - 4.0 * a * bbar
+    disc1 = gamma**2 * ((1.0 - a) + b) ** 2 - 4.0 * a * (1.0 - b)
     add("gamma_sq_discriminant", "a+b>1", disc1)
-    add("gamma_sq_discriminant_swapped", "a+b>1", (a + bbar) ** 2 - 4.0 * abar * b * gamma**2)
+    add("gamma_sq_discriminant_swapped", "a+b>1", (a + (1.0 - b)) ** 2 - 4.0 * (1.0 - a) * b * gamma**2)
     add("a_ge_b", "a+b>1, a*abar<=b*bbar", (a - b)[balanced])
+    # the root overwrites disc1, which is not read again
+    root = np.sqrt(np.maximum(disc1, 0.0, out=disc1), out=disc1)
     add(
         "lower_root_le_two_bbar",
         "a+b>1, a*abar<=b*bbar",
-        (2.0 * bbar - (gamma * (abar + b) - np.sqrt(np.maximum(disc1, 0.0))))[balanced],
+        (2.0 * (1.0 - b) - (gamma * ((1.0 - a) + b) - root))[balanced],
     )
+    del disc1, root
     add("b_gamma_over_a_ge_1", "a+b>1, a*abar<=b*bbar", (b * gamma / a - 1.0)[balanced])
-    add("gamma_sq_le_a_sq_over_b_abar", "a+b>1", a**2 / (b * abar) - gamma**2)
+    add("gamma_sq_le_a_sq_over_b_abar", "a+b>1", a**2 / (b * (1.0 - a)) - gamma**2)
     add(
         "gamma_abar_plus_b_ge_two_bbar",
         "a+b>1, a*abar<=b*bbar",
-        (gamma * (abar + b) / (2.0 * bbar) - 1.0)[balanced],
+        (gamma * ((1.0 - a) + b) / (2.0 * (1.0 - b)) - 1.0)[balanced],
     )
-    add("gamma_ge_bbar_over_b", "a+b>1", gamma - bbar / b)
-    add("gamma_le_a_over_abar", "a+b>1", a / abar - gamma)
+    add("gamma_ge_bbar_over_b", "a+b>1", gamma - (1.0 - b) / b)
+    add("gamma_le_a_over_abar", "a+b>1", a / (1.0 - a) - gamma)
     return report
 
 
@@ -301,6 +310,21 @@ def feedback_policy(spec, n, s0) -> StepPolicy:
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
     return _output_state_policy([np.array([base, base[::-1]])] * n, s0)
+
+
+def _output_state_kernel(laws, s0) -> CausalKernel:
+    """compose_causal(_output_state_policy(laws, s0)) without the step arrays.
+
+    Entry (x^n, y^(n-1)) is the product over i of laws[i-1][y_(i-1), x_i]
+    with y_0 = s0, multiplied in step order as compose_causal multiplies,
+    so the two agree bit for bit.
+    """
+    k, x = laws[0].shape
+    values = laws[0][s0][:, None]
+    for law in laws[1:]:
+        # rows (x^i, x_(i+1)), columns (y^(i-1), y_i)
+        values = (values[:, None, :, None] * law.T[None, :, None, :]).reshape(len(values) * x, -1)
+    return CausalKernel(x, k, len(laws), 1, values)
 
 
 def _output_state_policy(laws, s0) -> StepPolicy:

@@ -15,9 +15,17 @@ Both solvers run the same Blahut-Arimoto update; the open-loop loop
 over-relaxes it (Matz & Duhamel, ITW 2004) and falls back to the plain
 step whenever an over-relaxed one lowers the objective.
 
-Certificates: a first-order report with one multiplier per output
-context, in nats from one log pass over the dense channel's output law;
-the implied capacity (sum of multipliers plus one) is in bits.
+Certificates: the feedback solver certifies itself.  Beside the stage
+values L_r of the policy it returns, the DP carries an upper recursion
+U_r from the same stage laws: Arimoto's inequality bounds every stage
+problem by the largest divergence plus bonus at any law, and the bonus
+is monotone in the values of the next stage, so by induction U_n(s0)
+bounds the n-stage optimum and [L_n(s0), U_n(s0)] is a proven interval
+(see maximize_di_feedback).  kkt_check is the independent dense
+cross-check of any causal kernel: a first-order report with one
+multiplier per output context, in nats from one log pass over the dense
+|Y|^n x |X|^n channel's output law; the implied capacity (sum of
+multipliers plus one) is in bits.
 """
 
 import math
@@ -27,6 +35,7 @@ import numpy as np
 
 from .channels import (
     _channel_steps,
+    _check_entries,
     _check_lumped_size,
     _check_pass_size,
     _divergences,
@@ -34,11 +43,13 @@ from .channels import (
     _lumped_channel,
     build_sequence_kernel,
     initial_states,
+    input_alphabet,
+    output_alphabet,
 )
 from .closed_form import closed_form_solution
-from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
+from .construction import _open_loop_input, _output_state_kernel, output_markov_pmf
 from .directed_info import mutual_information_given_state
-from .probability import CausalKernel, SequencePmf, compose_causal, index_sequence
+from .probability import CausalKernel, SequencePmf, index_sequence
 
 LN2 = math.log(2.0)
 
@@ -87,7 +98,8 @@ class OptimizerConfig:
 
     max_iterations bounds the open-loop solve and each feedback stage problem;
     the open-loop solver counts channel passes, rejected steps included.
-    kkt_tolerance (nats) bounds both certificate violations and the open-loop Gallager residual.
+    kkt_tolerance (nats) bounds the width of the feedback solver's proven interval and the
+    open-loop Gallager residual.
     initialization and seed pick the open-loop start; the feedback solver ignores them.
     """
 
@@ -149,6 +161,26 @@ class KktReport:
         if self.note:
             lines.append(f"note: {self.note}")
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class FeedbackReport:
+    """Proven interval of the feedback solver's n-stage optimum.
+
+    lower_bits is the directed information of the returned policy and
+    upper_bits an upper bound on the best over all causal kernels, both
+    in bits.  polyhedron_gap is their distance in nats, a proven bound on
+    the policy's distance from the optimum; passed says it is at most
+    tol.  max_violation_support is the largest value minus least
+    divergence-plus-bonus on a stage law's support over all stages (nats).
+    """
+
+    lower_bits: float
+    upper_bits: float
+    passed: bool
+    tol: float
+    polyhedron_gap: float
+    max_violation_support: float
 
 
 @dataclass
@@ -302,8 +334,9 @@ def _stage_law(mat, bonus, max_iterations, start=None):
     dropped input, then take it to STAGE_GAP.  Given a start law, Newton
     steps run from it at once: a start may hold inputs at exactly 0 that
     this problem needs, and Blahut-Arimoto never moves a zero.  Every
-    evaluation counts against max_iterations.  The law returned is the
-    last one evaluated, so the value is always its own.
+    evaluation counts against max_iterations.  Returns the last law
+    evaluated, its value and its divergences plus bonus d, so the value
+    is always the law's own.
     """
     ent = (mat * np.log(mat, where=mat > 0, out=np.zeros_like(mat))).sum(axis=0)
     newton = start is not None
@@ -317,39 +350,65 @@ def _stage_law(mat, bonus, max_iterations, start=None):
             break
         newton = newton or gap <= BA_GAP
         p = _newton_step(mat, law, q, d, value) if newton else _ba_step(law, d)
-    return law, value
+    return law, value, d
 
 
 def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     """Maximize directed information over causal input kernels.
 
-    Returns (kernel, value in bits, certificate).  The kernel is the DP's
-    Markov policy: in state s = y_(i-1), r stages before the end, x is drawn
-    from the law attaining (V_0 = 0, one problem per state class)
-    V_r(s) = max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) V_(r-1)(y)].
-    The stage laws converge to the stationary feedback policy as r grows,
-    so the first stage starts from the uniform law and each later one
-    starts Newton steps from the previous stage's law of its class (see
-    _stage_law: Blahut-Arimoto could not readmit an input that law holds
-    at 0).  The certificate is kkt_check's at cfg.kkt_tolerance; its
-    passed field says whether the solve certified.  cfg.initialization and
-    cfg.seed are not read.
+    Returns (kernel, value in bits, FeedbackReport).  The kernel is the
+    DP's Markov policy: in state s = y_(i-1), r stages before the end, x
+    is drawn from the law p_r that _stage_law finds for (one problem per
+    state class)
+    max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) L_(r-1)(y)],
+    and L_r(s), the sum at p = p_r (L_0 = 0), is the value of the
+    policy's last r stages: the value returned, L_n(s0) / ln 2, is the
+    policy's own directed information.  The stage laws converge to the stationary feedback
+    policy as r grows, so the first stage starts from the uniform law and
+    each later one starts Newton steps from the previous stage's law of
+    its class (see _stage_law: Blahut-Arimoto could not readmit an input
+    that law holds at 0).
+
+    The report's upper side is, with U_0 = 0,
+    U_r(s) = max_x [D(W_s(.|x) || W_s p_r) + sum_y W_s(y|x) U_(r-1)(y)].
+    The state of a POST channel is its previous output, so the optimum
+    V_r over causal kernels obeys the recursion of L_r with V in place of
+    L (Chen & Berger, IEEE T-IT 51(3), 2005).  For any law p' the
+    capacity with bonus b is at most max_x [D(W(.|x) || W p') + b(x)]
+    (Arimoto, IEEE T-IT 18(1), 1972), and the bonus grows with the
+    values it sums, so V_(r-1) <= U_(r-1) gives V_r <= U_r: by induction
+    L_n(s0) <= V_n(s0) <= U_n(s0).  The recursion runs on U_r - L_r,
+    clamped at 0 (which only raises the bound), and the report passes
+    when U_n(s0) - L_n(s0) <= cfg.kkt_tolerance nats; a budget stop
+    shows as a wide interval.  No sequence-level channel is built: a
+    composed kernel above DENSE_ENTRY_CAP entries, |X|^n |Y|^(n-1),
+    raises before the first stage.  cfg.initialization and cfg.seed are
+    not read.
     """
     cfg = cfg or OptimizerConfig()
-    # raises on its size before the policy is composed
-    channel = build_sequence_kernel(spec, n, s0).kernel
+    if n < 1:
+        raise ValueError("n must be positive")
+    k, x = output_alphabet(spec), input_alphabet(spec)
+    if not 0 <= s0 < k:
+        raise ValueError(f"initial state {s0} out of range")
+    _check_entries("causal kernel", x**n * k ** (n - 1))
     classes, mats = spec.state_classes, spec.class_matrices
-    values, laws = np.zeros(len(classes)), []
-    solved = dict.fromkeys(mats, (None, None))
+    # per state: lower is L_r, gap is U_r - L_r
+    lower, gap, laws, support = np.zeros(k), np.zeros(k), [], 0.0
+    solved = dict.fromkeys(mats, (None,))
     for _ in range(n):
         solved = {
-            c: _stage_law(w, values @ w, cfg.max_iterations, solved[c][0]) for c, w in mats.items()
+            c: _stage_law(w, lower @ w, cfg.max_iterations, solved[c][0]) for c, w in mats.items()
         }
-        values = np.array([solved[c][1] for c in classes])
+        gaps = {c: max(0.0, float((d + gap @ mats[c]).max()) - v) for c, (_, v, d) in solved.items()}
+        support = max(support, *(v - float(d[p > 0].min()) for p, v, d in solved.values()))
+        lower = np.array([solved[c][1] for c in classes])
+        gap = np.array([gaps[c] for c in classes])
         laws.insert(0, np.array([solved[c][0] for c in classes]))
-    kernel = compose_causal(_output_state_policy(laws, s0))
-    value, report = _certificate(channel, kernel.values, cfg.kkt_tolerance)
-    return kernel, value, report
+    kernel = _output_state_kernel(laws, s0)
+    value, width, tol = float(lower[s0]), float(gap[s0]), cfg.kkt_tolerance
+    report = FeedbackReport(value / LN2, (value + width) / LN2, width <= tol, tol, width, support)
+    return kernel, value / LN2, report
 
 
 def _over_relaxed_ba(divergences_of, p, cfg):

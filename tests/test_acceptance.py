@@ -87,7 +87,7 @@ def test_criterion_2_feedback_optimizer_with_certificate():
             _, value, report = maximize_di_feedback(PostAlpha(0.5), n, 0, TIGHT)
             assert value / n == approx(0.321928, abs=1e-5)
             assert report.passed
-            assert abs(report.implied_capacity - value) <= 1e-5
+            assert report.upper_bits - value <= 1e-5
         assert time.monotonic() - start < 30.0
 
 

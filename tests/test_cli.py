@@ -226,7 +226,7 @@ def test_verify_kkt(capsys):
 
 def test_verify_kkt_margin_includes_offsupport_violation(monkeypatch, capsys):
     report = KktReport({}, 0.0, 3.5e-3, 0.0, 0.3, False, 1e-7)
-    monkeypatch.setattr(postcap.cli, "maximize_di_feedback", lambda *args: (None, 0.9, report))
+    monkeypatch.setattr(postcap.cli, "kkt_check", lambda *args: report)
     assert main(["verify", "kkt", "--alpha", "0.3", "--n", "3"]) == 1
     assert "kkt/kkt_certificate: margin=3.500000e-03 FAIL" in capsys.readouterr().out
 

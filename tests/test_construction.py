@@ -13,6 +13,7 @@ from postcap import (
     binary_dmc_capacity,
     build_sequence_kernel,
     closed_form_solution,
+    compose_causal,
     induction_step_check,
     inequality_sweep,
     output_markov_pmf,
@@ -20,6 +21,7 @@ from postcap import (
     recursive_input_ab,
     recursive_input_alpha,
 )
+from postcap.construction import _output_state_kernel, _output_state_policy
 
 
 # -- symmetric Markov output pmf ----------------------------------------------
@@ -165,6 +167,18 @@ def test_vector_recursion_size_guard_raises_before_allocating():
         assert peak < 2**20
 
 
+def test_output_state_kernel_is_the_composed_policy():
+    # the direct product multiplies in compose_causal's order: equal bit for bit
+    rng = np.random.default_rng(5)
+    for k, x, n in ((2, 2, 1), (2, 2, 7), (3, 2, 4), (2, 3, 4), (5, 5, 3)):
+        laws = [rng.dirichlet(np.ones(x), size=k) for _ in range(n)]
+        for s0 in range(k):
+            want = compose_causal(_output_state_policy(laws, s0))
+            got = _output_state_kernel(laws, s0)
+            assert (got.out_alphabet, got.in_alphabet, got.n, got.delay) == (x, k, n, 1)
+            assert np.array_equal(got.values, want.values)
+
+
 # -- multiplier intervals ----------------------------------------------------------
 
 
@@ -235,6 +249,51 @@ def test_inequality_sweep_passes():
     names = {c.name for c in report.checks}
     assert "four_alpha_pow_le_1" in names
     assert "gamma_sq_discriminant" in names
+
+
+def _reference_ab_margins(grid_size):
+    """The two-parameter margins over a meshgrid, every temporary kept: (name, worst) in sweep order."""
+    axis = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    base = a + b - 1.0 > 1e-9
+    a, b = a[base], b[base]
+    abar, bbar = 1.0 - a, 1.0 - b
+    ha = -(a * np.log2(a) + abar * np.log2(abar))
+    hb = -(b * np.log2(b) + bbar * np.log2(bbar))
+    gamma = 2.0 ** ((hb - ha) / (a + b - 1.0))
+    bal = a * abar <= b * bbar
+    disc1 = gamma**2 * (abar + b) ** 2 - 4.0 * a * bbar
+    margins = [
+        ("gamma_sq_discriminant", disc1),
+        ("gamma_sq_discriminant_swapped", (a + bbar) ** 2 - 4.0 * abar * b * gamma**2),
+        ("a_ge_b", (a - b)[bal]),
+        ("lower_root_le_two_bbar", (2.0 * bbar - (gamma * (abar + b) - np.sqrt(np.maximum(disc1, 0.0))))[bal]),
+        ("b_gamma_over_a_ge_1", (b * gamma / a - 1.0)[bal]),
+        ("gamma_sq_le_a_sq_over_b_abar", a**2 / (b * abar) - gamma**2),
+        ("gamma_abar_plus_b_ge_two_bbar", (gamma * (abar + b) / (2.0 * bbar) - 1.0)[bal]),
+        ("gamma_ge_bbar_over_b", gamma - bbar / b),
+        ("gamma_le_a_over_abar", a / abar - gamma),
+    ]
+    return [(name, float(np.min(m))) for name, m in margins]
+
+
+@pytest.mark.parametrize("grid_size", [10, 37, 200])
+def test_inequality_sweep_matches_meshgrid_reference(grid_size):
+    checks = inequality_sweep(grid_size).checks[3:]
+    assert [(c.name, c.worst_margin) for c in checks] == _reference_ab_margins(grid_size)
+
+
+def test_inequality_sweep_peak_memory():
+    # one float array over the 1000 x 1000 grid is 7.6 MiB; the sweep holds
+    # about 3.5 such arrays' worth at once
+    tracemalloc.start()
+    try:
+        report = inequality_sweep(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 32 * 2**20
 
 
 def test_inequality_sweep_spot_value():

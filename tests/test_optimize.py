@@ -28,6 +28,7 @@ from postcap import (
     open_loop_match,
     output_markov_pmf,
     post_alpha_capacity,
+    random_policy,
     recursive_input_ab,
     recursive_input_alpha,
     upper_bound,
@@ -104,17 +105,19 @@ def test_solver_reports_nonconvergence():
 @pytest.mark.parametrize("budget", [1, 2, 5])
 def test_stage_law_returns_the_value_of_its_law_at_the_budget(budget):
     mat = MaryPost(4).class_matrices[0]
-    p, value = optimize._stage_law(mat, np.zeros(mat.shape[1]), budget)
+    p, value, d = optimize._stage_law(mat, np.zeros(mat.shape[1]), budget)
     q = mat @ p
     # sum_x p(x) D(W(.|x) || W p) in nats, with 0 log 0 = 0
     logs = np.log(np.where(mat > 0, mat, 1.0) / q[:, None])
     assert value == approx(float(p @ (mat * logs).sum(axis=0)), abs=1e-12)
     assert p.sum() == approx(1.0, abs=1e-12)
+    assert value == float(p @ d)
 
 
 def test_solver_report_is_certificate_of_its_kernel():
-    # the solver and kkt_check share one certificate path, so the reports
-    # are equal field by field, also for the kernel of a budget stop
+    # the solver's proven interval passes exactly where the dense certificate
+    # of its kernel does, also for the kernel of a budget stop, and its lower
+    # end is that kernel's directed information
     random = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7, initialization="random", seed=7)
     budget = OptimizerConfig(max_iterations=3, kkt_tolerance=1e-12)
     cases = [
@@ -133,9 +136,65 @@ def test_solver_report_is_certificate_of_its_kernel():
     for spec, n, s0, cfg in cases:
         kernel, value, report = maximize_di_feedback(spec, n, s0, cfg)
         assert report.passed == (cfg is not budget)
-        assert report == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance)
+        assert report.passed == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance).passed
         chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
-        assert abs(value - directed_information(kernel, chan)) <= 1e-12
+        assert value == report.lower_bits
+        assert abs(report.lower_bits - directed_information(kernel, chan)) <= 1e-12
+        width = report.upper_bits - report.lower_bits
+        assert width >= 0.0
+        assert width == approx(report.polyhedron_gap / math.log(2.0), rel=1e-6, abs=1e-15)
+        if report.passed:
+            assert width <= report.tol
+            # every stage stopped on its own rule, not on the budget
+            assert 0.0 <= report.max_violation_support <= optimize.STAGE_GAP
+
+
+def test_solver_upper_bound_holds_for_random_kernels():
+    # upper_bits bounds the directed information of every causal kernel,
+    # and a budget stop's wide interval still holds the optimum
+    rng = np.random.default_rng(31)
+    for spec, n in ((PostAB(0.9, 0.7), 4), (MaryPost(3), 2)):
+        x, y = channels.input_alphabet(spec), channels.output_alphabet(spec)
+        _, _, report = maximize_di_feedback(spec, n, 0, TIGHT)
+        chan = build_sequence_kernel(spec, n, 0).kernel
+        for _ in range(20):
+            kin = compose_causal(random_policy(x, y, n, 1, rng))
+            assert directed_information(kin, chan) <= report.upper_bits
+        for budget in (1, 2):
+            _, _, stopped = maximize_di_feedback(spec, n, 0, OptimizerConfig(max_iterations=budget))
+            assert not stopped.passed
+            assert stopped.lower_bits <= report.lower_bits + 1e-12
+            assert stopped.upper_bits >= report.upper_bits - 1e-12
+
+
+def test_solver_builds_no_sequence_channel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the feedback solve built a dense channel or certificate")
+
+    monkeypatch.setattr(optimize, "build_sequence_kernel", refuse)
+    monkeypatch.setattr(optimize, "_certificate", refuse)
+    _, value, report = maximize_di_feedback(PostAB(0.9, 0.7), 8, 0, TIGHT)
+    assert report.passed
+    assert value / 8 == approx(binary_dmc_capacity(0.9, 0.7).capacity_bits, abs=1e-6)
+
+
+def test_solver_size_guard_raises_before_the_first_stage(monkeypatch):
+    # the composed kernel holds |X|^n |Y|^(n-1) entries
+    def refuse(*args):
+        raise AssertionError("a stage problem ran")
+
+    monkeypatch.setattr(optimize, "_stage_law", refuse)
+    for spec, n in ((PostAlpha(0.5), 11), (MaryPost(4), 5)):
+        with pytest.raises(ValueError, match="causal kernel would hold"):
+            maximize_di_feedback(spec, n, 0)
+    with pytest.raises(ValueError, match="positive"):
+        maximize_di_feedback(PostAlpha(0.5), 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        maximize_di_feedback(PostAlpha(0.5), 2, 2)
+    monkeypatch.undo()
+    kernel, _, report = maximize_di_feedback(PostAlpha(0.5), 10, 0, TIGHT)
+    assert report.passed
+    assert kernel.values.size == 2**19
 
 
 def _random_custom(rng):
@@ -172,9 +231,9 @@ def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
     cold, calls = optimize._stage_law, []
 
     def recording(mat, bonus, max_iterations, start=None):
-        law, value = cold(mat, bonus, max_iterations, start)
+        law, value, d = cold(mat, bonus, max_iterations, start)
         calls.append((start is not None, value))
-        return law, value
+        return law, value, d
 
     monkeypatch.setattr(optimize, "_stage_law", recording)
     rng = np.random.default_rng(2)
@@ -191,9 +250,9 @@ def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
         assert abs(value - want_value) <= 1e-12
 
 
-def test_implied_capacity_tracks_value():
+def test_upper_bound_tracks_value():
     _, value, report = maximize_di_feedback(PostAlpha(0.3), 3, 0, TIGHT)
-    assert abs(report.implied_capacity - value) <= 10 * TIGHT.kkt_tolerance
+    assert report.upper_bits - value <= 10 * TIGHT.kkt_tolerance
 
 
 # -- certificate ----------------------------------------------------------------
@@ -235,7 +294,6 @@ def test_certificate_beta_sum_identity_small_n():
     # the implied value reproduces the objective at any kernel, optimal or not
     spec = PostAlpha(0.45)
     rng = np.random.default_rng(23)
-    from postcap import random_policy
 
     for n in (1, 2, 3):
         chan = build_sequence_kernel(spec, n, 0).kernel
