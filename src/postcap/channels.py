@@ -240,6 +240,15 @@ def _vector_levels(coeffs, n):
         yield levels
 
 
+def _vector_level_row(coeffs, n, s):
+    """Row s of level n of _vector_levels(coeffs, n), alone: coeffs[s] @ level n - 1."""
+    _check_entries("vector", coeffs.shape[1] ** n)  # level n's guard, before the first product
+    levels = np.ones((len(coeffs), 1))
+    for levels in _vector_levels(coeffs, n - 1):
+        pass
+    return (coeffs[s] @ levels).reshape(-1) if n else levels[s]
+
+
 def _check_pass_size(spec, n, s0):
     """Raise ValueError unless the channel passes for (spec, n, s0) fit; allocates nothing.
 

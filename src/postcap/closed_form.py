@@ -66,6 +66,7 @@ class MaryFeedbackSolution:
 
 def post_alpha_capacity(alpha) -> PostAlphaSolution:
     """Capacity of the two-state Z/S channel; also the plain Z-channel value."""
+    alpha = float(alpha)  # a numpy scalar gives the same bits, faster
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     paa, pa1 = _alpha_powers(alpha)
@@ -85,6 +86,7 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
     Pairs with a + b < 1 are relabeled to (1-a, 1-b) first; pairs on the
     line a + b = 1 have zero capacity and are flagged degenerate.
     """
+    a, b = float(a), float(b)  # numpy scalars (grid points) give the same bits, faster
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("a and b must lie in [0, 1]")
     relabeled = False
@@ -127,33 +129,18 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
     )
 
 
-def _h2(p):
-    """Vectorized binary entropy in bits with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    a, b = np.where(p > 0, p, 1.0), np.where(p < 1, 1.0 - p, 1.0)  # 1 log 1 = 0 for 0 log 0
-    return (0.0 - a * np.log2(a)) - b * np.log2(b)
+def _mary_lead(m, g):
+    """lead(g) = (1 - g) log2(m) / 2 + h((1 + g) / 2) - (1 - g), bits."""
+    return 0.5 * (1.0 - g) * math.log2(m) + binary_entropy(0.5 * (1.0 + g)) - (1.0 - g)
 
 
-def _mary_lead(m, gamma):
-    """lead(gamma) = (1 - gamma) log2(m) / 2 + h((1 + gamma) / 2) - (1 - gamma), bits."""
-    gamma = np.asarray(gamma, dtype=float)
-    return 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
+def _mary_rate(m, g, d):
+    """Per-use rate N / D of the two-parameter stationary policy, in bits.
 
-
-def mary_rate_objective(m, gamma, delta):
-    """Per-use rate of the two-parameter stationary policy, in bits.
-
-    gamma is the stay-at-state-m input weight used below state m, delta
-    the reset weight used at state m; both broadcast as arrays.  The rate
-    is N / D with N = 2 delta lead(gamma) + (1 + gamma) h(delta) and
-    D = 2 delta + 1 + gamma.  Each entropy term depends on one of them, so
-    on a column of gammas and a row of deltas it is computed once per axis
-    value.
+    g is the stay-at-state-m input weight below state m, d the reset weight
+    at state m: N = 2 d lead(g) + (1 + g) h(d) and D = 2 d + 1 + g.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    numer = 2.0 * delta * _mary_lead(m, gamma) + (1.0 + gamma) * _h2(delta)
-    return numer / (2.0 * delta + 1.0 + gamma)
+    return (2.0 * d * _mary_lead(m, g) + (1.0 + g) * binary_entropy(d)) / (2.0 * d + 1.0 + g)
 
 
 def mary_state_policy(m, gamma, delta):
@@ -202,20 +189,21 @@ def mary_feedback_capacity(m) -> MaryFeedbackSolution:
     so the rate never decreases; the loop stops at the first step that
     does not raise it and returns the point before that step.  Since
     lead >= 0 and lambda <= log2(m + 1) <= 20 bits, delta stays above
-    2^-40.  The fixed point is not proven a global maximum; the tests
-    check it against a dense grid of mary_rate_objective.
+    2^-40.  Every step is scalar arithmetic on Python floats.  The fixed
+    point is not proven a global maximum; the tests check it against a
+    dense grid of an array-valued copy of the rate.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     _check_entries("stationary law", m + 1)  # before the iteration, whose bounds assume it
     ln2 = math.log(2.0)
     g = d = 0.5
-    rate = float(mary_rate_objective(m, g, d))
+    rate = _mary_rate(m, g, d)
     while True:
-        d_new = 0.5 - 0.5 * math.tanh(ln2 * (rate - float(_mary_lead(m, g))) / (1.0 + g))
+        d_new = 0.5 - 0.5 * math.tanh(ln2 * (rate - _mary_lead(m, g)) / (1.0 + g))
         k = math.log2(m) - 2.0 + (rate - binary_entropy(d_new)) / d_new
         g_new = max(0.0, -math.tanh(0.5 * ln2 * k))
-        rate_new = float(mary_rate_objective(m, g_new, d_new))
+        rate_new = _mary_rate(m, g_new, d_new)
         if rate_new <= rate:
             break
         g, d, rate = g_new, d_new, rate_new

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices, _vector_levels
+from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices
+from .channels import _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
 from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy
 
@@ -31,11 +32,15 @@ def output_markov_pmf(delta, n, s0) -> SequencePmf:
         raise ValueError("delta must lie in [0, 1]")
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    chain = _output_chain(delta)
-    levels = np.ones((2, 1))
-    for levels in _vector_levels(np.array([np.diag(chain[:, s]) for s in (0, 1)]), n):
-        pass
-    return SequencePmf(2, n, levels[s0])
+    coeffs = np.array([np.diag(column) for column in _output_chain(delta).T])
+    return SequencePmf(2, n, _vector_level_row(coeffs, n, s0))
+
+
+def _input_coeffs(spec):
+    """Coefficients P_s^-1 diag T_s of the open-loop input recursion of a binary family."""
+    chain = _output_chain(closed_form_solution(spec, markov=True).output_markov_transition)
+    inverses = _inverse_class_matrices(spec)
+    return np.array([inverses[s] * chain[:, s] for s in (0, 1)])
 
 
 def _input_levels(spec, n):
@@ -43,9 +48,7 @@ def _input_levels(spec, n):
 
     Each level is a (2, 2^l) array with row s the input from state s.
     """
-    chain = _output_chain(closed_form_solution(spec, markov=True).output_markov_transition)
-    inverses = _inverse_class_matrices(spec)
-    return _vector_levels(np.array([inverses[s] * chain[:, s] for s in (0, 1)]), n)
+    return _vector_levels(_input_coeffs(spec), n)
 
 
 def _open_loop_input(spec, n, s0) -> SequencePmf:
@@ -54,9 +57,7 @@ def _open_loop_input(spec, n, s0) -> SequencePmf:
         raise ValueError("n must be positive")
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    for levels in _input_levels(spec, n):
-        pass
-    return SequencePmf(2, n, levels[s0])
+    return SequencePmf(2, n, _vector_level_row(_input_coeffs(spec), n, s0))
 
 
 def recursive_input_alpha(alpha, n, s0) -> SequencePmf:

@@ -512,7 +512,7 @@ def open_loop_match(spec, n, s0) -> MatchReport:
 
     The target output law is the symmetric Markov chain of the family's
     closed form, and the raw input is the last level of the vector
-    recursion p_s = W_s^-1 q_s (construction._input_levels).  min_entry
+    recursion p_s = W_s^-1 q_s (construction._open_loop_input).  min_entry
     and total are that raw input's smallest entry and sum.  output_gap,
     max |W p - q|, checks it independently: the forward channel pass runs
     the channel on the raw input and never touches an inverse.  di_gap is

@@ -96,6 +96,29 @@ def test_table1_quick_row(tmp_path):
     assert lines[2].startswith("2,,0.333333,0.832")
 
 
+TABLE1_CLOSED_FORM_CSV = """\
+m,upper_bound,scheme_rate,feedback_capacity
+1,,0.000000,0.759582
+2,,0.333333,0.832506
+4,,0.666667,1.000000
+8,,1.000000,1.259941
+16,,1.333333,1.536590
+32,,1.666667,1.826011
+64,,2.000000,2.125202
+128,,2.333333,2.431899
+256,,2.666667,2.744387
+512,,3.000000,3.061363
+1024,,3.333333,3.381833
+"""
+
+
+def test_table1_closed_form_rows_are_pinned(tmp_path):
+    # the scheme rate and the feedback capacity of all 11 rows, printed
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--upper-bound-max-m", "0", "--out", str(out)]) == 0
+    assert out.read_text() == TABLE1_CLOSED_FORM_CSV
+
+
 def test_table1_json_format(tmp_path):
     out = tmp_path / "table.json"
     code = main(

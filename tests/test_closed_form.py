@@ -26,7 +26,31 @@ from postcap import (
     post_alpha_capacity,
     step_kernel,
 )
-from postcap.closed_form import _h2, mary_rate_objective
+
+# -- array-valued grid oracle of the m-ary rate ---------------------------------
+# The rate on numpy arrays, for grid searches: an oracle independent of the
+# scalar Dinkelbach loop in mary_feedback_capacity.
+
+
+def _h2(p):
+    """Vectorized binary entropy in bits with the 0 log 0 = 0 convention."""
+    p = np.asarray(p, dtype=float)
+    a, b = np.where(p > 0, p, 1.0), np.where(p < 1, 1.0 - p, 1.0)  # 1 log 1 = 0 for 0 log 0
+    return (0.0 - a * np.log2(a)) - b * np.log2(b)
+
+
+def oracle_rate(m, gamma, delta):
+    """Per-use rate N / D of the stationary policy on broadcast arrays, in bits.
+
+    N = 2 delta lead(gamma) + (1 + gamma) h(delta), D = 2 delta + 1 + gamma,
+    lead(gamma) = (1 - gamma) log2(m) / 2 + h((1 + gamma) / 2) - (1 - gamma).
+    Each entropy term depends on one of gamma, delta, so on a column of
+    gammas and a row of deltas it is computed once per axis value.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    lead = 0.5 * (1.0 - gamma) * math.log2(m) + _h2(0.5 * (1.0 + gamma)) - (1.0 - gamma)
+    return (2.0 * delta * lead + (1.0 + gamma) * _h2(delta)) / (2.0 * delta + 1.0 + gamma)
 
 
 def test_post_alpha_half():
@@ -129,6 +153,25 @@ def test_gamma_bounds_on_grid():
             assert sol.gamma <= a / (1 - a) + 1e-12
 
 
+def test_binary_closed_forms_coerce_numpy_scalars_to_the_same_floats():
+    # grid points are np.float64; the result is the Python-float one, bit for
+    # bit, on the whole grid: the line a + b = 1 and the relabelled half too
+    grid = np.linspace(0.0, 1.0, 201)
+    for a in grid:
+        want = post_alpha_capacity(float(a))
+        got = post_alpha_capacity(a)
+        assert repr(got) == repr(want)
+        assert all(type(v) is float for v in (got.alpha, got.c, got.capacity_bits, *got.input_pmf))
+        for b in grid:
+            want = binary_dmc_capacity(float(a), float(b))
+            got = binary_dmc_capacity(a, b)
+            assert repr(got) == repr(want)  # float reprs round-trip: equal bits
+            fields = (got.a, got.b, got.capacity_bits, got.gamma, *got.input_pmf, *got.output_pmf)
+            assert all(type(v) is float for v in fields)
+    assert binary_dmc_capacity(np.float64(0.3), np.float64(0.7)).degenerate
+    assert binary_dmc_capacity(np.float64(0.2), np.float64(0.3)).relabeled
+
+
 # -- m-ary feedback capacity ---------------------------------------------------
 
 
@@ -159,7 +202,7 @@ def _mary_meshgrid_search(m):
     x 33 refinements shrinking the cell eightfold down to 1e-8."""
     grid = np.linspace(0.0, 1.0, 201)
     gg, dd = np.meshgrid(grid, grid, indexing="ij")
-    vals = mary_rate_objective(m, gg, dd)
+    vals = oracle_rate(m, gg, dd)
     best = np.unravel_index(np.argmax(vals), vals.shape)
     g, d = gg[best], dd[best]
     width = grid[1] - grid[0]
@@ -168,10 +211,10 @@ def _mary_meshgrid_search(m):
         gs = np.clip(np.linspace(g - 8 * width, g + 8 * width, 33), 0.0, 1.0)
         ds = np.clip(np.linspace(d - 8 * width, d + 8 * width, 33), 0.0, 1.0)
         gg, dd = np.meshgrid(gs, ds, indexing="ij")
-        vals = mary_rate_objective(m, gg, dd)
+        vals = oracle_rate(m, gg, dd)
         best = np.unravel_index(np.argmax(vals), vals.shape)
         g, d = float(gg[best]), float(dd[best])
-    return g, d, float(mary_rate_objective(m, g, d)), mary_stationary_distribution(m, g, d)
+    return g, d, float(oracle_rate(m, g, d)), mary_stationary_distribution(m, g, d)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 100, 1000, 1024])
@@ -186,11 +229,19 @@ def test_mary_axis_search_equals_meshgrid_search(m):
     assert np.array_equal(sol.stationary_pi, want)
 
 
+def test_mary_capacity_is_the_oracle_rate_at_its_point():
+    # the scalar loop's rate is the array oracle's, bit for bit, on every row
+    # of the benchmark's m range
+    for m in range(1, 1025):
+        sol = mary_feedback_capacity(m)
+        assert sol.capacity_bits == float(oracle_rate(m, sol.gamma_star, sol.delta_star))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 100])
 def test_mary_capacity_not_below_dense_grid(m):
     axis = np.linspace(0.0, 1.0, 2001)
     # 2001 x 2001 rates, in blocks of gamma rows to keep the arrays small
-    best = max(mary_rate_objective(m, axis[i : i + 401, None], axis).max() for i in range(0, 2001, 401))
+    best = max(oracle_rate(m, axis[i : i + 401, None], axis).max() for i in range(0, 2001, 401))
     assert mary_feedback_capacity(m).capacity_bits >= best - 1e-15
 
 
@@ -208,8 +259,8 @@ def test_mary_objective_on_axes_equals_meshgrid():
     g = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)])
     d = np.concatenate([[1.0, 0.0], rng.uniform(0.0, 1.0, 30)])
     for m in (1, 3, 1024):
-        grid = mary_rate_objective(m, *np.meshgrid(g, d, indexing="ij"))
-        axes = mary_rate_objective(m, g[:, None], d)
+        grid = oracle_rate(m, *np.meshgrid(g, d, indexing="ij"))
+        axes = oracle_rate(m, g[:, None], d)
         assert axes.shape == grid.shape
         assert np.array_equal(axes, grid)
 
@@ -220,7 +271,7 @@ def test_binary_entropy_terms_exact_and_warning_free_at_endpoints():
         h = _h2(axis)
         ends = _h2(np.array([0.0, 1.0]))
         scalar_ends = (_h2(0.0), _h2(1.0))
-        rates = mary_rate_objective(4, axis[:, None], axis)
+        rates = oracle_rate(4, axis[:, None], axis)
     assert np.isfinite(h).all() and np.isfinite(rates).all()
     assert ends.tolist() == [0.0, 0.0] and scalar_ends == (0.0, 0.0)
     assert not np.signbit(ends).any() and not np.signbit(scalar_ends).any()  # +0.0, not -0.0
@@ -238,7 +289,7 @@ def test_mary_objective_equals_stationary_rate():
         below = entropy(np.array([(1 - gamma) / (2 * m)] * m + [(1 + gamma) / 2])) - (1 - gamma)
         at_m = binary_entropy(delta)
         want = pi[:m].sum() * below + pi[m] * at_m
-        assert mary_rate_objective(m, gamma, delta) == approx(want, abs=1e-12)
+        assert oracle_rate(m, gamma, delta) == approx(want, abs=1e-12)
 
 
 def test_mary_collapsed_entropy_identity():

@@ -21,7 +21,8 @@ from postcap import (
     recursive_input_ab,
     recursive_input_alpha,
 )
-from postcap.construction import _output_state_kernel, _output_state_policy
+from postcap.channels import _vector_level_row, _vector_levels
+from postcap.construction import _input_coeffs, _output_chain, _output_state_kernel, _output_state_policy
 
 
 # -- symmetric Markov output pmf ----------------------------------------------
@@ -165,6 +166,18 @@ def test_vector_recursion_size_guard_raises_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("spec", [PostAlpha(0.37), PostAB(0.9, 0.7), PostAB(0.6, 0.5)])
+def test_last_level_row_is_that_row_of_the_full_level(spec):
+    # the open-loop inputs and the Markov output law build only row s0 of
+    # level n, with the same products as the full level: equal bit for bit
+    chain = _output_chain(closed_form_solution(spec).output_markov_transition)
+    for coeffs in (_input_coeffs(spec), np.array([np.diag(chain[:, s]) for s in (0, 1)])):
+        for n, levels in enumerate(_vector_levels(coeffs, 12), start=1):
+            for s0 in (0, 1):
+                row = _vector_level_row(coeffs, n, s0)
+                assert row.shape == (2**n,) and np.array_equal(row, levels[s0])
 
 
 def test_output_state_kernel_is_the_composed_policy():
