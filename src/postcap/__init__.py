@@ -1,11 +1,12 @@
 """Capacities of channels whose state is the previous output.
 
 Library layout: ``probability`` (sequence pmfs, causal kernels and
-information measures), ``channels`` (channel families and sequence-level
-matrices), ``directed_info`` (directed-information functionals),
-``closed_form`` (analytic capacities), ``construction`` (recursive input
-constructions and feasibility intervals), ``optimize`` (solvers and
-optimality certificates) and ``cli`` (the postcap command).
+entropies), ``channels`` (channel families, sequence-level channel
+matrices and the matrix-free channel passes), ``directed_info``
+(directed and mutual information), ``closed_form`` (analytic
+capacities), ``construction`` (recursive input constructions and
+feasibility intervals), ``optimize`` (solvers and optimality
+certificates) and ``cli`` (the postcap command).
 """
 
 from .channels import (
@@ -16,12 +17,9 @@ from .channels import (
     PostAlpha,
     SingularChannelError,
     build_sequence_kernel,
-    induced_output_pmf,
     initial_states,
     input_alphabet,
     output_alphabet,
-    spec_from_config,
-    spec_to_config,
     step_kernel,
 )
 from .closed_form import (
@@ -53,7 +51,6 @@ from .construction import (
 from .directed_info import (
     concavity_probe,
     directed_information,
-    directed_information_stepwise,
     mutual_information_given_state,
 )
 from .optimize import (
@@ -71,20 +68,13 @@ from .probability import (
     CausalKernel,
     SequencePmf,
     StepPolicy,
-    ValidationReport,
     binary_entropy,
-    chain_join,
     compose_causal,
     entropy,
-    factorize_causal,
     index_sequence,
-    kl_divergence,
-    open_loop_kernel,
     random_policy,
     sequence_index,
-    validate_causal,
 )
-from .tolerances import ToleranceConfig, tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -19,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .probability import CausalKernel, SequencePmf, _freeze, _joint
-from .tolerances import _read_key_values, tolerances
+from .probability import CONDITIONAL_ROW_TOL, ENTRY_FLOOR, CausalKernel, _freeze
 
 # No sequence-level array may hold more entries than this.
 DENSE_ENTRY_CAP = 2**20
@@ -162,9 +161,9 @@ class CustomPost(_StateMatrices):
                 raise ValueError("state matrices must share one shape")
             if not np.isfinite(m).all():
                 raise ValueError("non-finite channel probability")
-            if m.min() < -tolerances.entry_floor:
+            if m.min() < -ENTRY_FLOOR:
                 raise ValueError("negative channel probability")
-            if np.abs(m.sum(axis=0) - 1.0).max() > tolerances.conditional_row:
+            if np.abs(m.sum(axis=0) - 1.0).max() > CONDITIONAL_ROW_TOL:
                 raise ValueError("state matrices must be column-stochastic")
         object.__setattr__(self, "state_matrices", tuple(_freeze(m) for m in mats))
 
@@ -534,7 +533,10 @@ class ChannelMatrix:
 
 
 def build_sequence_kernel(spec, n, s0, storage="dense"):
-    """Assemble p(y^n || x^n, s0) by the first-symbol block recursion."""
+    """Assemble p(y^n || x^n, s0) by the first-symbol block recursion.
+
+    storage accepts only "dense", the default; bench/workloads.py still passes it.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     k = output_alphabet(spec)
@@ -546,42 +548,3 @@ def build_sequence_kernel(spec, n, s0, storage="dense"):
     classes = spec.state_classes
     values = _block_matrix(spec.class_matrices, classes, n, classes[s0])
     return ChannelMatrix(spec, n, s0, CausalKernel(k, x, n, 0, values))
-
-
-def induced_output_pmf(spec, n, s0, input_kernel: CausalKernel) -> SequencePmf:
-    """Output pmf p(y^n) = sum_x p(y^n || x^n, s0) p(x^n || y^{n-1})."""
-    channel = build_sequence_kernel(spec, n, s0).kernel
-    return SequencePmf(channel.out_alphabet, n, _joint(input_kernel, channel).sum(axis=1))
-
-
-def spec_to_config(spec) -> str:
-    """Plain-text form of a channel spec; decimal-exact round trip."""
-    if isinstance(spec, PostAlpha):
-        return f"family = post-alpha\nalpha = {spec.alpha!r}\n"
-    if isinstance(spec, PostAB):
-        return f"family = post-ab\na = {spec.a!r}\nb = {spec.b!r}\n"
-    if isinstance(spec, MaryPost):
-        return f"family = mary\nm = {spec.m}\n"
-    raise TypeError("only the named families serialize to config text")
-
-
-def spec_from_config(text: str):
-    """Channel spec from spec_to_config's text.
-
-    Raises ValueError on an unknown family and on a missing or unknown key.
-    """
-    fields = _read_key_values(text)
-    family = fields.pop("family", None)
-    families = {
-        "post-alpha": (PostAlpha, ("alpha",), float),
-        "post-ab": (PostAB, ("a", "b"), float),
-        "mary": (MaryPost, ("m",), int),
-    }
-    if family not in families:
-        raise ValueError(f"unknown channel family {family!r}")
-    cls, keys, kind = families[family]
-    missing = [key for key in keys if key not in fields]
-    unknown = [key for key in fields if key not in keys]
-    if missing or unknown:
-        raise ValueError(f"{family} config: missing keys {missing}, unknown keys {unknown}")
-    return cls(*(kind(fields[key]) for key in keys))

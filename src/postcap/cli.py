@@ -43,7 +43,6 @@ from .optimize import (
     upper_bound,
 )
 from .probability import SequencePmf, compose_causal, random_policy
-from .tolerances import _read_key_values, tolerances
 
 # Reference values for the m-ary channel family, used by `table1 --check`:
 # (upper bound at n=6, scheme rate, feedback capacity) per m.
@@ -276,7 +275,7 @@ def _verify_construction(parser, args):
 
 def _verify_concavity(parser, args):
     spec = _binary_spec(parser, args)
-    chan = build_sequence_kernel(spec, args.n, args.s0, storage="dense").kernel
+    chan = build_sequence_kernel(spec, args.n, args.s0).kernel
     rng = np.random.default_rng(args.seed)
     worst = math.inf
     for _ in range(args.trials):
@@ -314,25 +313,11 @@ def cmd_verify(parser, args):
     return 0 if all_ok else 1
 
 
-def _apply_config(parser, path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    try:
-        for key, value in _read_key_values(text).items():
-            tolerances.update(**{key: float(value)})
-    except (KeyError, ValueError) as exc:
-        parser.error(f"bad config file {path}: {exc}")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="postcap",
         description="Capacities of channels whose state is the previous output.",
     )
-    parser.add_argument("--config", help="key=value file overriding numerical tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cap = sub.add_parser("capacity", help="closed-form capacity of one channel")
@@ -379,8 +364,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        _apply_config(parser, args.config)
     commands = {
         "capacity": cmd_capacity,
         "table1": cmd_table1,

@@ -110,8 +110,11 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
         2.0 ** (((1.0 - a) * hb - b * ha) / s) + 2.0 ** (((1.0 - b) * ha - a * hb) / s)
     )
     gamma = 2.0 ** ((hb - ha) / s)
-    eb = 2.0 ** (hb / s)
-    ea = 2.0 ** (ha / s)
+    # eb and ea are 2^(hb/s) and 2^(ha/s) over their larger one, which
+    # c0 cancels: near a + b = 1 the unscaled powers overflow
+    top = max(ha, hb)
+    eb = 2.0 ** ((hb - top) / s)
+    ea = 2.0 ** ((ha - top) / s)
     c0 = 1.0 / (s * (eb + ea))
     input_pmf = (
         c0 * (b * eb - (1.0 - b) * ea),

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices
 from .channels import _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
-from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy
+from .probability import CausalKernel, SequencePmf, binary_entropy
 
 
 def _output_chain(delta):
@@ -113,15 +113,6 @@ class IntervalSet:
     l6: Optional[tuple]
     nonempty_witness: Optional[float]
 
-    def to_text(self):
-        lines = []
-        for i in range(7):
-            iv = getattr(self, f"l{i}")
-            lines.append(f"l{i}: {'empty' if iv is None else f'[{iv[0]:.12g}, {iv[1]:.12g}]'}")
-        w = self.nonempty_witness
-        lines.append(f"witness: {'none' if w is None else f'{w:.12g}'}")
-        return "\n".join(lines) + "\n"
-
 
 def beta_interval_alpha(alpha):
     """Closed multiplier interval certifying nonnegativity for the Z/S family."""
@@ -215,21 +206,6 @@ class InequalityReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def to_text(self):
-        lines = [f"grid_size: {self.grid_size}", f"slack: {self.slack:.3e}"]
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{c.name} [{c.hypothesis}]: worst_margin={c.worst_margin:.6e} {status}")
-        lines.append(f"passed: {self.passed}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self):
-        rows = ["name,hypothesis,worst_margin,passed"]
-        rows.extend(
-            f"{c.name},{c.hypothesis},{c.worst_margin:.12e},{int(c.passed)}" for c in self.checks
-        )
-        return "\n".join(rows) + "\n"
-
 
 def _entropy_bits(p):
     """Binary entropy of each entry of p in (0, 1), in bits."""
@@ -300,8 +276,8 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
     return report
 
 
-def feedback_policy(spec, n, s0) -> StepPolicy:
-    """Capacity-achieving feedback policy: one input law per channel state.
+def feedback_policy(spec, n, s0) -> CausalKernel:
+    """Capacity-achieving feedback policy, as a causal kernel: one input law per channel state.
 
     Step 1 uses the initial state; later steps condition on the previous
     output only.  The state-1 law is the state-0 law with the input
@@ -310,14 +286,15 @@ def feedback_policy(spec, n, s0) -> StepPolicy:
     base = closed_form_solution(spec, markov=True).input_pmf
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    return _output_state_policy([np.array([base, base[::-1]])] * n, s0)
+    return _output_state_kernel([np.array([base, base[::-1]])] * n, s0)
 
 
 def _output_state_kernel(laws, s0) -> CausalKernel:
-    """compose_causal(_output_state_policy(laws, s0)) without the step arrays.
+    """Causal kernel of the policy whose step i draws x_i from laws[i-1][y_(i-1)].
 
-    Entry (x^n, y^(n-1)) is the product over i of laws[i-1][y_(i-1), x_i]
-    with y_0 = s0, multiplied in step order as compose_causal multiplies,
+    Each law has shape (states, inputs), and y_0 = s0.  Entry
+    (x^n, y^(n-1)) is the product over i of laws[i-1][y_(i-1), x_i],
+    multiplied in step order as compose_causal multiplies a StepPolicy,
     so the two agree bit for bit.
     """
     k, x = laws[0].shape
@@ -326,16 +303,3 @@ def _output_state_kernel(laws, s0) -> CausalKernel:
         # rows (x^i, x_(i+1)), columns (y^(i-1), y_i)
         values = (values[:, None, :, None] * law.T[None, :, None, :]).reshape(len(values) * x, -1)
     return CausalKernel(x, k, len(laws), 1, values)
-
-
-def _output_state_policy(laws, s0) -> StepPolicy:
-    """StepPolicy of the feedback policy whose step i draws from laws[i-1][previous output].
-
-    Each law has shape (states, inputs); step 1 is in state s0.
-    """
-    k, x = laws[0].shape
-    steps = [laws[0][s0].reshape(1, 1, x)]
-    for i, law in enumerate(laws[1:], start=1):
-        last = np.arange(k**i) % k  # least-significant symbol of y^i
-        steps.append(np.broadcast_to(law[last], (x**i, k**i, x)).copy())
-    return StepPolicy(x, k, len(laws), 1, tuple(steps))

@@ -1,15 +1,13 @@
 """Directed information between input kernels and channel kernels.
 
-All quantities are returned in bits and sum over the nonzero terms of
-the dense joint (0 log 0 = 0).  directed_information sums them with
-numpy's pairwise summation, measured within a few ulp of math.fsum on
-solved kernels up to n = 8; directed_information_stepwise keeps
-math.fsum, so its per-step decomposition identity holds to ~1e-12 even
-at n = 8.  mutual_information_given_state builds no joint: it runs the
-matrix-free channel passes of the open-loop solver.
+All quantities are returned in bits.  directed_information sums the
+nonzero terms of the dense joint (0 log 0 = 0) with numpy's pairwise
+summation, measured within a few ulp of math.fsum on solved kernels up
+to n = 8.  mutual_information_given_state builds no joint: it runs the
+matrix-free channel passes of the open-loop solver.  concavity_probe
+compares the value at a mixture of two input kernels with the mixed
+values.
 """
-
-import math
 
 import numpy as np
 
@@ -27,30 +25,6 @@ def directed_information(input_kernel: CausalKernel, channel: CausalKernel) -> f
         terms = joint[mask] * (np.log2(chan[mask]) - np.log2(py[mask]))
     value = float(terms.sum())
     return 0.0 if -1e-12 < value < 0.0 else value
-
-
-def directed_information_stepwise(input_kernel: CausalKernel, channel: CausalKernel):
-    """Per-step terms I(X^i; Y_i | Y^{i-1}); they sum to the total."""
-    joint = _joint(input_kernel, channel)
-    x, y, n = input_kernel.out_alphabet, channel.out_alphabet, channel.n
-    terms = []
-    for i in range(1, n + 1):
-        m = joint.reshape(y**i, y ** (n - i), x**i, x ** (n - i)).sum(axis=(1, 3))
-        m3 = m.reshape(y ** (i - 1), y, x**i)
-        d = m3.sum(axis=1, keepdims=True)  # p(y^{i-1}, x^i)
-        p_i = m3.sum(axis=2, keepdims=True)  # p(y^i)
-        p_prev = p_i.sum(axis=1, keepdims=True)  # p(y^{i-1})
-        mask = m3 > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = (
-                np.log2(m3, where=mask, out=np.zeros_like(m3))
-                + np.log2(p_prev, where=p_prev > 0, out=np.zeros_like(p_prev))
-                - np.log2(d, where=d > 0, out=np.zeros_like(d))
-                - np.log2(p_i, where=p_i > 0, out=np.zeros_like(p_i))
-            )
-        val = math.fsum((m3 * logterm)[mask])
-        terms.append(0.0 if -1e-12 < val < 0.0 else val)
-    return np.array(terms)
 
 
 def mutual_information_given_state(spec, n, s0, input_pmf: SequencePmf) -> float:

@@ -146,22 +146,6 @@ class KktReport:
     tol: float
     note: str = ""
 
-    def to_text(self):
-        lines = [
-            f"passed: {self.passed}",
-            f"max_violation_support: {self.max_violation_support:.6e}",
-            f"max_violation_offsupport: {self.max_violation_offsupport:.6e}",
-            f"polyhedron_gap: {self.polyhedron_gap:.6e}",
-            f"implied_capacity_bits: {self.implied_capacity:.9f}",
-            f"tol: {self.tol:.3e}",
-        ]
-        for ctx, val in self.beta.items():
-            label = "".join(str(s) for s in ctx) if ctx else "-"
-            lines.append(f"beta_{label}: {val:.9f}")
-        if self.note:
-            lines.append(f"note: {self.note}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class FeedbackReport:
@@ -193,15 +177,6 @@ class MatchReport:
     di_gap: float
     passed: bool
     input_pmf: SequencePmf = field(repr=False, default=None)
-
-    def to_text(self):
-        return (
-            f"passed: {self.passed}\n"
-            f"min_entry: {self.min_entry:.6e}\n"
-            f"total: {self.total!r}\n"
-            f"output_gap: {self.output_gap:.6e}\n"
-            f"di_gap: {self.di_gap:.6e}\n"
-        )
 
 
 def _polyhedron_max(t, x_alph, y_alph, n):

@@ -8,21 +8,15 @@ with the first symbol most significant.  A causal kernel stores
 p(a^n || b^{n-d}) as a matrix whose rows are indexed by a^n and whose
 columns are indexed by b^{n-d}; the delay d is 0 for channels
 (p(y^n || x^n)) and 1 for feedback input laws (p(x^n || y^{n-1})).
-
-Such a matrix is a valid causal kernel exactly when its entries are
-nonnegative, every column sums to 1, and for every prefix level i the
-partial sums over the tail a_{i+1..n} agree across all conditioning
-contexts that share the first i-d symbols.  ``validate_causal`` checks
-these constraints, ``compose_causal``/``factorize_causal`` convert
-between the matrix form and the per-step conditionals.
+``compose_causal`` multiplies per-step conditionals into that matrix,
+and ``_joint`` pairs an input kernel with a channel kernel into the
+joint law the directed-information functionals sum over.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .tolerances import tolerances
 
 LN2 = math.log(2.0)
 
@@ -30,9 +24,12 @@ LN2 = math.log(2.0)
 # than one after another.
 PAIRWISE_BLOCK = 8
 
-# Conditionals on prefixes whose partial sum falls below this are taken
-# uniform (the dead-branch convention used by factorize_causal).
-DEAD_BRANCH_FLOOR = 1e-12
+# Slack of the validity checks on pmfs, step conditionals and kernels:
+# how far below zero an entry may drift, how far a pmf total may stray
+# from 1, and how far a conditional row sum may.
+ENTRY_FLOOR = 1e-12
+PMF_SUM_TOL = 1e-9
+CONDITIONAL_ROW_TOL = 1e-12
 
 
 def sequence_index(seq, alphabet_size):
@@ -76,10 +73,10 @@ class SequencePmf:
         if v.shape[0] != size:
             raise ValueError(f"expected {size} entries, got {v.shape[0]}")
         lo = v.min() if size else 0.0
-        if lo < -tolerances.entry_floor:
+        if lo < -ENTRY_FLOOR:
             raise ValueError(f"negative probability {lo:.3e}")
         total = v.sum()
-        if abs(total - 1.0) > tolerances.pmf_sum:
+        if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         # small negatives are rounding noise; clamp once at construction
         object.__setattr__(self, "values", _freeze(np.maximum(v, 0.0)))
@@ -142,11 +139,11 @@ class StepPolicy:
             want = (a ** (i - 1), b ** max(i - self.delay, 0), a)
             if arr.shape != want:
                 raise ValueError(f"step {i}: shape {arr.shape}, expected {want}")
-            if arr.min() < -tolerances.entry_floor or arr.max() > 1 + tolerances.entry_floor:
+            if arr.min() < -ENTRY_FLOOR or arr.max() > 1 + ENTRY_FLOOR:
                 raise ValueError(f"step {i}: entries outside [0, 1]")
             rows = arr.sum(axis=-1)
             err = np.abs(rows - 1.0).max()
-            if err > tolerances.conditional_row:
+            if err > CONDITIONAL_ROW_TOL:
                 raise ValueError(f"step {i}: conditional rows sum to 1 +/- {err:.3e}")
             frozen.append(_freeze(arr))
         object.__setattr__(self, "steps", tuple(frozen))
@@ -176,28 +173,9 @@ class CausalKernel:
         v = np.asarray(self.values, dtype=float)
         if v.shape != want:
             raise ValueError(f"shape {v.shape}, expected {want}")
-        if v.size and v.min() < -tolerances.entry_floor:
+        if v.size and v.min() < -ENTRY_FLOOR:
             raise ValueError("negative kernel entry")
         object.__setattr__(self, "values", _freeze(v))
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of validate_causal: every violated constraint with its size."""
-
-    passed: bool
-    max_violation: float
-    tol: float
-    violations: list = field(default_factory=list)
-
-    def to_text(self):
-        lines = [
-            f"passed: {self.passed}",
-            f"max_violation: {self.max_violation:.3e}",
-            f"tol: {self.tol:.3e}",
-        ]
-        lines.extend(f"violation: {name} ({mag:.3e})" for name, mag in self.violations)
-        return "\n".join(lines) + "\n"
 
 
 def compose_causal(policy: StepPolicy) -> CausalKernel:
@@ -212,89 +190,6 @@ def compose_causal(policy: StepPolicy) -> CausalKernel:
         new = cur[:, :, None] * step
         cur = new.transpose(0, 2, 1).reshape(a**i, ncols)
     return CausalKernel(a, b, n, d, cur)
-
-
-def _partial_sums(kernel, level):
-    """Sum the kernel over tails a_{level+1..n}; shape (A**level, B**(n-d))."""
-    a, n = kernel.out_alphabet, kernel.n
-    v = kernel.values
-    return v.reshape(a**level, a ** (n - level), v.shape[1]).sum(axis=1)
-
-
-def validate_causal(kernel: CausalKernel, tol=None) -> ValidationReport:
-    """Check nonnegativity, column normalization and prefix consistency."""
-    if tol is None:
-        tol = tolerances.kernel
-    a, b, n, d = kernel.out_alphabet, kernel.in_alphabet, kernel.n, kernel.delay
-    v = kernel.values
-    violations = []
-    worst = 0.0
-
-    neg = max(0.0, float(-v.min())) if v.size else 0.0
-    worst = max(worst, neg)
-    if neg > tol:
-        violations.append(("negativity", neg))
-
-    col_err = np.abs(v.sum(axis=0) - 1.0)
-    worst = max(worst, float(col_err.max()))
-    for j in np.flatnonzero(col_err > tol):
-        violations.append((f"normalization b-context {j}", float(col_err[j])))
-
-    # prefix consistency: partial sums at level i may depend on the first
-    # i-d conditioning symbols only
-    for i in range(1, n):
-        s = _partial_sums(kernel, i)
-        j = max(i - d, 0)
-        group = b ** (n - d - j)
-        if group == 1:
-            continue
-        grouped = s.reshape(a**i, b**j, group)
-        diff = np.abs(grouped - grouped[:, :, :1])
-        worst = max(worst, float(diff.max()))
-        for r, g, c in zip(*np.nonzero(diff > tol)):
-            violations.append(
-                (
-                    f"prefix consistency level {i} a-prefix {r} b-context {g * group + c}",
-                    float(diff[r, g, c]),
-                )
-            )
-
-    return ValidationReport(worst <= tol, worst, tol, violations)
-
-
-def factorize_causal(kernel: CausalKernel, tol=None) -> StepPolicy:
-    """Recover per-step conditionals from a valid causal kernel.
-
-    Conditionals on prefixes with vanishing probability are set uniform,
-    so the result always composes back to the kernel on live branches.
-    """
-    report = validate_causal(kernel, tol)
-    if not report.passed:
-        raise ValueError(f"not a causal kernel (max violation {report.max_violation:.3e})")
-    a, b, n, d = kernel.out_alphabet, kernel.in_alphabet, kernel.n, kernel.delay
-
-    # prefix-sum tables, collapsed onto the symbols they may depend on
-    tables = [np.ones((1, 1))]
-    for i in range(1, n + 1):
-        s = _partial_sums(kernel, i)
-        j = max(i - d, 0)
-        group = b ** (n - d - j)
-        tables.append(s.reshape(a**i, b**j, group).mean(axis=2))
-
-    steps = []
-    for i in range(1, n + 1):
-        j = max(i - d, 0)
-        jprev = max(i - 1 - d, 0)
-        num = tables[i].reshape(a ** (i - 1), a, b**j)
-        den = tables[i - 1]
-        if j > jprev:
-            den = np.repeat(den, b, axis=1)
-        den = den[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(den > DEAD_BRANCH_FLOOR, num / den, 1.0 / a)
-        cond = np.clip(cond, 0.0, 1.0)
-        steps.append(cond.transpose(0, 2, 1))
-    return StepPolicy(a, b, n, d, tuple(steps))
 
 
 def _joint(input_kernel: CausalKernel, channel: CausalKernel):
@@ -312,26 +207,6 @@ def _joint(input_kernel: CausalKernel, channel: CausalKernel):
     ):
         raise ValueError("alphabet mismatch")
     return channel.values * np.repeat(input_kernel.values.T, channel.out_alphabet, axis=0)
-
-
-def chain_join(input_kernel: CausalKernel, channel: CausalKernel) -> SequencePmf:
-    """Joint pmf p(x^n, y^n) = p(x^n || y^{n-1}) p(y^n || x^n).
-
-    Returned over paired symbols z_i = x_i * |Y| + y_i so that the result
-    is an ordinary SequencePmf over alphabet |X| * |Y|.
-    """
-    joint = _joint(input_kernel, channel)
-    x, y, n = input_kernel.out_alphabet, input_kernel.in_alphabet, input_kernel.n
-    arr = joint.T.reshape((x,) * n + (y,) * n)
-    perm = [ax for i in range(n) for ax in (i, n + i)]
-    return SequencePmf(x * y, n, arr.transpose(perm).reshape(-1))
-
-
-def open_loop_kernel(pmf: SequencePmf, feedback_alphabet: int) -> CausalKernel:
-    """Lift a plain input pmf to a causal kernel that ignores the feedback."""
-    cols = feedback_alphabet ** (pmf.n - 1)
-    values = np.tile(pmf.values[:, None], (1, cols))
-    return CausalKernel(pmf.alphabet_size, feedback_alphabet, pmf.n, 1, values)
 
 
 def random_policy(out_alphabet, in_alphabet, n, delay, rng, low=0.05):
@@ -358,15 +233,3 @@ def entropy(pmf):
     v = pmf.values if isinstance(pmf, SequencePmf) else np.asarray(pmf, dtype=float)
     v = v[v > 0]
     return float(-(v * np.log2(v)).sum())
-
-
-def kl_divergence(p, q):
-    """KL divergence in bits; +inf when support(p) is not within support(q)."""
-    pv = p.values if isinstance(p, SequencePmf) else np.asarray(p, dtype=float)
-    qv = q.values if isinstance(q, SequencePmf) else np.asarray(q, dtype=float)
-    if pv.shape != qv.shape:
-        raise ValueError("shape mismatch")
-    mask = pv > 0
-    if np.any(qv[mask] <= 0):
-        return math.inf
-    return float((pv[mask] * (np.log2(pv[mask]) - np.log2(qv[mask]))).sum())

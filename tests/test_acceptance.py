@@ -25,24 +25,23 @@ from postcap import (
     compose_causal,
     concavity_probe,
     directed_information,
-    factorize_causal,
     inequality_sweep,
     kkt_check,
     mary_feedback_capacity,
     mary_scheme_rate,
     maximize_di_feedback,
     maximize_mi_nofeedback,
-    open_loop_kernel,
     output_markov_pmf,
     post_alpha_capacity,
     random_policy,
     recursive_input_ab,
     recursive_input_alpha,
     upper_bound,
-    validate_causal,
 )
 from postcap.construction import _input_levels
 from postcap.probability import SequencePmf
+
+from dense_reference import factorize_causal, open_loop_kernel, validate_causal
 
 TIGHT = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
 

@@ -12,13 +12,8 @@ from postcap import (
     PostAlpha,
     SingularChannelError,
     build_sequence_kernel,
-    induced_output_pmf,
     initial_states,
-    open_loop_kernel,
-    spec_from_config,
-    spec_to_config,
     step_kernel,
-    validate_causal,
 )
 from postcap.channels import (
     _backward_pass,
@@ -33,9 +28,10 @@ from postcap.channels import (
 )
 from postcap.closed_form import mary_state_policy
 from postcap.construction import feedback_policy, output_markov_pmf
-from postcap.probability import SequencePmf, compose_causal
+from postcap.probability import SequencePmf
 
 from channel_cases import PASS_SPECS
+from dense_reference import induced_output_pmf, open_loop_kernel, validate_causal
 
 
 # -- one-step kernels ---------------------------------------------------------
@@ -166,8 +162,6 @@ def test_mary_kernel_nonzeros_per_column_bounded():
 def test_dense_cap_enforced():
     with pytest.raises(ValueError, match="entries"):
         build_sequence_kernel(MaryPost(4), 6, 0)
-    with pytest.raises(ValueError, match="entries"):
-        build_sequence_kernel(MaryPost(4), 6, 0, storage="dense")
     with pytest.raises(ValueError, match="storage"):
         build_sequence_kernel(MaryPost(1), 2, 0, storage="sparse")
 
@@ -340,26 +334,6 @@ def test_induced_output_point_mass_gives_kernel_column():
 
 def test_induced_output_stationary_policy_is_markov():
     spec = PostAlpha(0.5)
-    kin = compose_causal(feedback_policy(spec, 3, 0))
+    kin = feedback_policy(spec, 3, 0)
     out = induced_output_pmf(spec, 3, 0, kin)
     assert np.abs(out.values - output_markov_pmf(0.2, 3, 0).values).max() < 1e-14
-
-
-# -- config round trip -------------------------------------------------------------
-
-
-def test_config_round_trip_is_exact():
-    for spec in (PostAlpha(0.1 + 0.2), PostAB(2 / 3, 0.7), MaryPost(17)):
-        assert spec_from_config(spec_to_config(spec)) == spec
-
-
-def test_config_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        spec_from_config("family = trapdoor\n")
-
-
-def test_config_rejects_unknown_and_missing_keys():
-    with pytest.raises(ValueError, match="unknown keys \\['beta'\\]"):
-        spec_from_config("family = post-alpha\nalpha = 0.5\nbeta = 3")
-    with pytest.raises(ValueError, match="missing keys \\['b'\\]"):
-        spec_from_config("family = post-ab\na = 0.5")

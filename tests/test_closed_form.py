@@ -22,10 +22,11 @@ from postcap import (
     mary_output_chain,
     mary_scheme_rate,
     mary_stationary_distribution,
-    open_loop_kernel,
     post_alpha_capacity,
     step_kernel,
 )
+
+from dense_reference import open_loop_kernel
 
 # -- array-valued grid oracle of the m-ary rate ---------------------------------
 # The rate on numpy arrays, for grid searches: an oracle independent of the
@@ -107,6 +108,19 @@ def test_binary_dmc_relabeling():
     assert sol.relabeled
     assert (sol.a, sol.b) == (0.8, 0.7)
     assert sol.capacity_bits == approx(binary_dmc_capacity(0.8, 0.7).capacity_bits)
+
+
+def test_binary_dmc_finite_next_to_the_degenerate_line():
+    # 312 of these draws lie so close to a + b = 1 that 2^(h(b) / (a + b - 1))
+    # alone overflows a float; the pmf scales both powers by the larger
+    draws = np.random.default_rng(3).uniform(0.0, 1.0, (200_000, 2))
+    for a, b in draws:
+        sol = binary_dmc_capacity(a, b)
+        values = (sol.capacity_bits, *sol.input_pmf, *sol.output_pmf)
+        assert all(map(math.isfinite, values)), (a, b)
+        assert sum(sol.input_pmf) == approx(1.0, abs=1e-9), (a, b)
+    sol = binary_dmc_capacity(0.5, 0.5001)
+    assert math.isfinite(sol.gamma) and min(sol.input_pmf) >= -1e-12
 
 
 def test_alpha_grid_identity_with_dmc():

@@ -24,7 +24,6 @@ from postcap import (
     kkt_check,
     maximize_di_feedback,
     maximize_mi_nofeedback,
-    open_loop_kernel,
     open_loop_match,
     output_markov_pmf,
     post_alpha_capacity,
@@ -32,14 +31,14 @@ from postcap import (
     recursive_input_ab,
     recursive_input_alpha,
     upper_bound,
-    validate_causal,
 )
 from postcap import channels, optimize
 from postcap.channels import SingularChannelError
-from postcap.construction import _input_levels, _output_state_policy, feedback_policy
+from postcap.construction import _input_levels, feedback_policy
 from postcap.optimize import LOG_ZERO
 
 from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
+from dense_reference import open_loop_kernel, output_state_policy, validate_causal
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
 
@@ -137,7 +136,7 @@ def test_solver_report_is_certificate_of_its_kernel():
         kernel, value, report = maximize_di_feedback(spec, n, s0, cfg)
         assert report.passed == (cfg is not budget)
         assert report.passed == kkt_check(kernel, spec, n, s0, cfg.kkt_tolerance).passed
-        chan = build_sequence_kernel(spec, n, s0, storage="dense").kernel
+        chan = build_sequence_kernel(spec, n, s0).kernel
         assert value == report.lower_bits
         assert abs(report.lower_bits - directed_information(kernel, chan)) <= 1e-12
         width = report.upper_bits - report.lower_bits
@@ -221,7 +220,7 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
         stages.extend(solved[c][1] for c in mats)
         values = np.array([solved[c][1] for c in classes])
         laws.insert(0, np.array([solved[c][0] for c in classes]))
-    kernel = compose_causal(_output_state_policy(laws, s0))
+    kernel = compose_causal(output_state_policy(laws, s0))
     channel = build_sequence_kernel(spec, n, s0).kernel
     return np.array(stages), optimize._certificate(channel, kernel.values, cfg.kkt_tolerance)[0]
 
@@ -261,7 +260,7 @@ def test_upper_bound_tracks_value():
 def test_certificate_stationary_policy_passes():
     spec = PostAlpha(0.5)
     for n in (1, 2, 3):
-        kin = compose_causal(feedback_policy(spec, n, 0))
+        kin = feedback_policy(spec, n, 0)
         report = kkt_check(kin, spec, n, 0, 1e-9)
         assert report.passed
         assert report.implied_capacity == approx(n * 0.321928, abs=1e-5)
@@ -280,14 +279,6 @@ def test_certificate_rejects_suboptimal_input():
     report = kkt_check(kin, PostAB(0.9, 0.9), 1, 0, 1e-6)
     assert not report.passed
     assert report.max_violation_support > 1e-2
-
-
-def test_certificate_serializes():
-    kin = open_loop_kernel(SequencePmf(2, 1, np.array([0.5, 0.5])), 2)
-    text = kkt_check(kin, PostAB(0.9, 0.9), 1, 0, 1e-9).to_text()
-    assert "passed: True" in text
-    assert "implied_capacity_bits:" in text
-    assert "beta_-" in text
 
 
 def test_certificate_beta_sum_identity_small_n():
@@ -621,12 +612,6 @@ def test_open_loop_match_memory_and_inverse_route():
     chan = build_sequence_kernel(spec, n, s0).kernel.values
     solved = np.linalg.solve(chan, output_markov_pmf(delta, n, s0).values)
     assert np.abs(report.input_pmf.values - solved).max() < 1e-10
-
-
-def test_open_loop_match_report_text():
-    text = open_loop_match(PostAlpha(0.5), 3, 0).to_text()
-    assert "passed: True" in text
-    assert "di_gap:" in text
 
 
 def test_match_agrees_with_recursion_route():
