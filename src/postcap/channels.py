@@ -248,6 +248,14 @@ def _vector_level_row(coeffs, n, s):
     return (coeffs[s] @ levels).reshape(-1) if n else levels[s]
 
 
+def _check_start(spec, n, s0):
+    """Raise ValueError unless n is positive and s0 is a state of spec."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0 <= s0 < output_alphabet(spec):
+        raise ValueError(f"initial state {s0} out of range")
+
+
 def _check_pass_size(spec, n, s0):
     """Raise ValueError unless the channel passes for (spec, n, s0) fit; allocates nothing.
 
@@ -256,12 +264,8 @@ def _check_pass_size(spec, n, s0):
     entries; either above DENSE_ENTRY_CAP raises, as do n < 1 and a
     state outside the output alphabet.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    k = output_alphabet(spec)
-    if not 0 <= s0 < k:
-        raise ValueError(f"initial state {s0} out of range")
-    x = input_alphabet(spec)
+    _check_start(spec, n, s0)
+    k, x = output_alphabet(spec), input_alphabet(spec)
     _check_entries("channel pass", max(max(k, x) ** n, k * k * x))
 
 
@@ -537,14 +541,10 @@ def build_sequence_kernel(spec, n, s0, storage="dense"):
 
     storage accepts only "dense", the default; bench/workloads.py still passes it.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    k = output_alphabet(spec)
-    x = input_alphabet(spec)
-    if not 0 <= s0 < k:
-        raise ValueError(f"initial state {s0} out of range")
+    _check_start(spec, n, s0)
     if storage != "dense":
         raise ValueError(f"unknown storage mode {storage!r}")
     classes = spec.state_classes
     values = _block_matrix(spec.class_matrices, classes, n, classes[s0])
-    return ChannelMatrix(spec, n, s0, CausalKernel(k, x, n, 0, values))
+    kernel = CausalKernel(output_alphabet(spec), input_alphabet(spec), n, 0, values)
+    return ChannelMatrix(spec, n, s0, kernel)

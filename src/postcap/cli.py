@@ -63,6 +63,9 @@ CHECK_TOL_UPPER = 1.0e-3
 CHECK_TOL_RATE = 5.0e-5
 CHECK_TOL_FEEDBACK = 5.0e-4
 
+# Budget and tolerance of the feedback solve behind `capacity --numeric-check` and `verify kkt`.
+FEEDBACK_CHECK = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
+
 
 def _write(path, text):
     if path is None:
@@ -101,15 +104,19 @@ def _spec_from_args(parser, args):
     parser.error(f"unknown capacity target {args.target!r}")
 
 
+def _feedback_check(spec, n, s0):
+    """(value in bits, kkt_check report) of the n-use feedback solve from s0."""
+    kernel, value, _ = maximize_di_feedback(spec, n, s0, FEEDBACK_CHECK)
+    return value, kkt_check(kernel, spec, n, s0, FEEDBACK_CHECK.kkt_tolerance)
+
+
 def cmd_capacity(parser, args):
     spec = _spec_from_args(parser, args)
     closed = closed_form_solution(spec).capacity_bits
     print(f"capacity_bits: {closed:.6f}")
     if not args.numeric_check:
         return 0
-    cfg = OptimizerConfig(max_iterations=args.max_iterations, kkt_tolerance=1e-7)
-    kernel, value, _ = maximize_di_feedback(spec, args.n, args.s0, cfg)
-    report = kkt_check(kernel, spec, args.n, args.s0, cfg.kkt_tolerance)
+    value, report = _feedback_check(spec, args.n, args.s0)
     gap = abs(value / args.n - closed)
     print(f"numeric_value_bits_per_use: {value / args.n:.6f}")
     print(f"numeric_gap: {gap:.3e}")
@@ -232,9 +239,7 @@ def _binary_spec(parser, args):
 def _verify_kkt(parser, args):
     spec = _binary_spec(parser, args)
     closed = closed_form_solution(spec).capacity_bits
-    cfg = OptimizerConfig(max_iterations=args.max_iterations, kkt_tolerance=1e-7)
-    kernel, value, _ = maximize_di_feedback(spec, args.n, args.s0, cfg)
-    report = kkt_check(kernel, spec, args.n, args.s0, cfg.kkt_tolerance)
+    value, report = _feedback_check(spec, args.n, args.s0)
     # report.passed reads the same three diagnostics against its tolerance
     margin = max(report.max_violation_support, report.max_violation_offsupport, report.polyhedron_gap)
     return [
@@ -330,7 +335,6 @@ def build_parser():
     cap.add_argument("--n", type=int, default=3, help="depth of the numeric check")
     cap.add_argument("--s0", type=int, default=0)
     cap.add_argument("--tol", type=_tolerance, default=1e-4)
-    cap.add_argument("--max-iterations", type=int, default=20000)
 
     tab = sub.add_parser("table1", help="m-ary family capacity table")
     tab.add_argument("--n", type=int, default=6)
@@ -357,7 +361,6 @@ def build_parser():
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--tol", type=_tolerance, default=1e-4)
-    ver.add_argument("--max-iterations", type=int, default=20000)
     return parser
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices
 from .channels import _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
-from .probability import CausalKernel, SequencePmf, binary_entropy
+from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy, compose_causal
 
 
 def _output_chain(delta):
@@ -286,20 +286,16 @@ def feedback_policy(spec, n, s0) -> CausalKernel:
     base = closed_form_solution(spec, markov=True).input_pmf
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    return _output_state_kernel([np.array([base, base[::-1]])] * n, s0)
+    return compose_causal(_output_state_policy([np.array([base, base[::-1]])] * n, s0))
 
 
-def _output_state_kernel(laws, s0) -> CausalKernel:
-    """Causal kernel of the policy whose step i draws x_i from laws[i-1][y_(i-1)].
+def _output_state_policy(laws, s0) -> StepPolicy:
+    """StepPolicy whose step i draws x_i from laws[i-1][y_(i-1)], with y_0 = s0.
 
-    Each law has shape (states, inputs), and y_0 = s0.  Entry
-    (x^n, y^(n-1)) is the product over i of laws[i-1][y_(i-1), x_i],
-    multiplied in step order as compose_causal multiplies a StepPolicy,
-    so the two agree bit for bit.
+    Each law has shape (states, inputs).  No step depends on the past
+    inputs, so each has first axis 1: step i holds the law of the last
+    symbol of every y^(i-1), k^(i-1) x |X| entries.
     """
     k, x = laws[0].shape
-    values = laws[0][s0][:, None]
-    for law in laws[1:]:
-        # rows (x^i, x_(i+1)), columns (y^(i-1), y_i)
-        values = (values[:, None, :, None] * law.T[None, :, None, :]).reshape(len(values) * x, -1)
-    return CausalKernel(x, k, len(laws), 1, values)
+    steps = [law[np.arange(k**i) % k][None] for i, law in enumerate(laws[1:], start=1)]
+    return StepPolicy(x, k, len(laws), 1, (laws[0][s0][None, None], *steps))

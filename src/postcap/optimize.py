@@ -38,6 +38,7 @@ from .channels import (
     _check_entries,
     _check_lumped_size,
     _check_pass_size,
+    _check_start,
     _divergences,
     _forward_pass,
     _lumped_channel,
@@ -47,11 +48,9 @@ from .channels import (
     output_alphabet,
 )
 from .closed_form import closed_form_solution
-from .construction import _open_loop_input, _output_state_kernel, output_markov_pmf
+from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
 from .directed_info import mutual_information_given_state
-from .probability import CausalKernel, SequencePmf, index_sequence
-
-LN2 = math.log(2.0)
+from .probability import LN2, CausalKernel, SequencePmf, compose_causal
 
 # Input-kernel entries above this count as supported in the certificate.
 SUPPORT_THRESHOLD = 1e-8
@@ -121,9 +120,10 @@ class OptimizerConfig:
 class KktReport:
     """First-order optimality certificate for a feedback input kernel.
 
-    beta maps each output context y^{n-1} to the support-weighted mean of
-    the inner expression over that context (nats); implied_capacity is
-    (sum of the multipliers + 1) converted to bits.
+    beta holds, for each output context y^{n-1} in sequence order, the
+    support-weighted mean of the inner expression over that context
+    (nats); implied_capacity is (sum of the multipliers + 1) converted
+    to bits.
 
     The stationarity condition is checked on the per-input-sequence sum
     of the inner expression across output contexts: it must equal the
@@ -137,14 +137,13 @@ class KktReport:
     nats and must fall below tol for the certificate to pass.
     """
 
-    beta: dict
+    beta: np.ndarray
     max_violation_support: float
     max_violation_offsupport: float
     polyhedron_gap: float
     implied_capacity: float
     passed: bool
     tol: float
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -191,18 +190,15 @@ def _polyhedron_max(t, x_alph, y_alph, n):
         if i == 1:
             return float(best[0, 0])
         util = best.reshape(x_alph ** (i - 1), y_alph ** (i - 2), y_alph).sum(axis=2)
-    return float(util[0, 0])
 
 
 def _certificate(channel: CausalKernel, kin, tol):
-    """Directed information of kin through channel in bits, and its KktReport.
+    """KktReport of kin through channel, from one log pass over the dense channel.
 
-    One log pass over the dense channel p(y^n || x^n), viewed as
-    (Y^(n-1), Y, X^n), serves both: with w and cl the sums of chan and
-    chan ln chan over the last output, and S = sum_{y_n} chan ln p(y^n),
-    all indexed [x^n, y^(n-1)] like kin, the value is <kin, cl> minus the
-    output entropy term and the gradient of directed information is
-    t = cl - S - w.
+    The channel p(y^n || x^n) is viewed as (Y^(n-1), Y, X^n): with w and
+    cl the sums of chan and chan ln chan over the last output, and
+    S = sum_{y_n} chan ln p(y^n), all indexed [x^n, y^(n-1)] like kin,
+    the gradient of directed information is t = cl - S - w.
     """
     x_alph, y_alph, n = channel.in_alphabet, channel.out_alphabet, channel.n
     chan3 = channel.values.reshape(y_alph ** (n - 1), y_alph, -1)
@@ -213,10 +209,6 @@ def _certificate(channel: CausalKernel, kin, tol):
     py = np.matmul(chan3, np.ascontiguousarray(kin.T)[:, :, None])[:, :, 0]
     ln_py = np.log(py, where=py > 0, out=np.zeros_like(py))
     s = np.matmul(ln_py[:, None, :], chan3)[:, 0, :].T
-    value = (float(np.vdot(kin, cl)) - float(np.vdot(py, ln_py))) / LN2
-    if -1e-12 < value < 0.0:
-        value = 0.0
-
     t = cl - s - w
     # (x^n, y^(n-1)) pairs that reach an output sequence of probability 0
     undefined = np.einsum("cyx,cy->xc", chan3, (py == 0.0).astype(float)) > 0.0
@@ -226,7 +218,6 @@ def _certificate(channel: CausalKernel, kin, tol):
     beta = (weights * np.where(undefined, 0.0, t)).sum(axis=0) / weights.sum(axis=0)
     total = float(beta.sum())
 
-    note = ""
     t_eff = np.where(undefined, math.inf, t)
     row_sums = t_eff.sum(axis=1)
     full_support = support.all(axis=1)
@@ -237,24 +228,12 @@ def _certificate(channel: CausalKernel, kin, tol):
     if (~full_support).any():
         max_off = max(0.0, float((row_sums[~full_support] - total).max()))
     gap = max(0.0, _polyhedron_max(t_eff, x_alph, y_alph, n) - total)
-    if undefined.any():
-        x_idx, c_idx = np.argwhere(undefined)[0]
-        note = (
-            "zero output probability on a sequence reachable from input "
-            f"row {x_idx} (context {c_idx})"
-        )
-        if (undefined & support).any():
-            x_idx, c_idx = np.argwhere(undefined & support)[0]
-            max_support = math.inf
-            note = (
-                "undefined inner term: zero output probability reachable "
-                f"from supported input row {x_idx} (context {c_idx})"
-            )
+    if (undefined & support).any():
+        max_support = math.inf
 
-    beta_map = {index_sequence(j, y_alph, n - 1): float(b) for j, b in enumerate(beta)}
     implied = (total + 1.0) / LN2
     passed = max_support <= tol and max_off <= tol and gap <= tol
-    return value, KktReport(beta_map, max_support, max_off, gap, implied, passed, tol, note)
+    return KktReport(beta, max_support, max_off, gap, implied, passed, tol)
 
 
 def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
@@ -262,7 +241,7 @@ def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
     channel = build_sequence_kernel(spec, n, s0).kernel
     if input_kernel.n != n or input_kernel.out_alphabet != channel.in_alphabet:
         raise ValueError("input kernel does not match the channel")
-    return _certificate(channel, input_kernel.values, tol)[1]
+    return _certificate(channel, input_kernel.values, tol)
 
 
 def _ba_step(p, divergences):
@@ -361,11 +340,8 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     not read.
     """
     cfg = cfg or OptimizerConfig()
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_start(spec, n, s0)
     k, x = output_alphabet(spec), input_alphabet(spec)
-    if not 0 <= s0 < k:
-        raise ValueError(f"initial state {s0} out of range")
     _check_entries("causal kernel", x**n * k ** (n - 1))
     classes, mats = spec.state_classes, spec.class_matrices
     # per state: lower is L_r, gap is U_r - L_r
@@ -380,7 +356,7 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
         lower = np.array([solved[c][1] for c in classes])
         gap = np.array([gaps[c] for c in classes])
         laws.insert(0, np.array([solved[c][0] for c in classes]))
-    kernel = _output_state_kernel(laws, s0)
+    kernel = compose_causal(_output_state_policy(laws, s0))
     value, width, tol = float(lower[s0]), float(gap[s0]), cfg.kkt_tolerance
     report = FeedbackReport(value / LN2, (value + width) / LN2, width <= tol, tol, width, support)
     return kernel, value / LN2, report

@@ -117,8 +117,9 @@ class SequencePmf:
 class StepPolicy:
     """Per-step conditionals p(a_i | a^{i-1}, b^{i-d}) for i = 1..n.
 
-    steps[i-1] has shape (A**(i-1), B**max(i-d, 0), A); the last axis is
-    the distribution of a_i given the (a-prefix, b-context) pair.
+    steps[i-1] has shape (A**(i-1), B**max(i-d, 0), A), or first axis 1
+    for a step that does not depend on a^{i-1}; the last axis is the
+    distribution of a_i given the (a-prefix, b-context) pair.
     """
 
     out_alphabet: int
@@ -137,8 +138,8 @@ class StepPolicy:
         for i, step in enumerate(self.steps, start=1):
             arr = np.asarray(step, dtype=float)
             want = (a ** (i - 1), b ** max(i - self.delay, 0), a)
-            if arr.shape != want:
-                raise ValueError(f"step {i}: shape {arr.shape}, expected {want}")
+            if arr.shape not in (want, (1, *want[1:])):
+                raise ValueError(f"step {i}: shape {arr.shape}, expected {want} or {(1, *want[1:])}")
             if arr.min() < -ENTRY_FLOOR or arr.max() > 1 + ENTRY_FLOOR:
                 raise ValueError(f"step {i}: entries outside [0, 1]")
             rows = arr.sum(axis=-1)
@@ -179,16 +180,13 @@ class CausalKernel:
 
 
 def compose_causal(policy: StepPolicy) -> CausalKernel:
-    """Multiply per-step conditionals into the full causal kernel."""
+    """Multiply per-step conditionals into the full causal kernel, one broadcast pass per step."""
     a, b, n, d = policy.out_alphabet, policy.in_alphabet, policy.n, policy.delay
     cur = np.ones((1, 1))
-    for i in range(1, n + 1):
-        step = policy.steps[i - 1]
-        ncols = b ** max(i - d, 0)
-        if ncols > cur.shape[1]:
-            cur = np.repeat(cur, b, axis=1)
-        new = cur[:, :, None] * step
-        cur = new.transpose(0, 2, 1).reshape(a**i, ncols)
+    for i, step in enumerate(policy.steps, start=1):
+        # step axes as (a^(i-1) or 1, a_i, b-context so far, new b-symbols)
+        step = step.reshape(len(step), cur.shape[1], -1, a).transpose(0, 3, 1, 2)
+        cur = (cur[:, None, :, None] * step).reshape(a**i, -1)
     return CausalKernel(a, b, n, d, cur)
 
 

@@ -306,6 +306,20 @@ def test_config_flag_is_unrecognized(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_max_iterations_flag_is_unrecognized(capsys):
+    # the feedback cross-checks run one fixed budget; argparse rejects the flag before any solve
+    for argv in (
+        ["capacity", "post-alpha", "--alpha", "0.5", "--numeric-check", "--max-iterations", "5"],
+        ["verify", "kkt", "--max-iterations", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-iterations 5" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -22,7 +22,7 @@ from postcap import (
     recursive_input_alpha,
 )
 from postcap.channels import _vector_level_row, _vector_levels
-from postcap.construction import _input_coeffs, _output_chain, _output_state_kernel
+from postcap.construction import _input_coeffs, _output_chain, _output_state_policy
 
 from dense_reference import output_state_policy
 
@@ -183,13 +183,16 @@ def test_last_level_row_is_that_row_of_the_full_level(spec):
 
 
 def test_output_state_kernel_is_the_composed_policy():
-    # the direct product multiplies in compose_causal's order: equal bit for bit
+    # steps with first axis 1 broadcast over the past inputs: the composed
+    # kernel equals that of the dense reference's full steps bit for bit
     rng = np.random.default_rng(5)
     for k, x, n in ((2, 2, 1), (2, 2, 7), (3, 2, 4), (2, 3, 4), (5, 5, 3)):
         laws = [rng.dirichlet(np.ones(x), size=k) for _ in range(n)]
         for s0 in range(k):
             want = compose_causal(output_state_policy(laws, s0))
-            got = _output_state_kernel(laws, s0)
+            policy = _output_state_policy(laws, s0)
+            assert all(len(step) == 1 for step in policy.steps)
+            got = compose_causal(policy)
             assert (got.out_alphabet, got.in_alphabet, got.n, got.delay) == (x, k, n, 1)
             assert np.array_equal(got.values, want.values)
 

@@ -24,6 +24,7 @@ from postcap import (
     kkt_check,
     maximize_di_feedback,
     maximize_mi_nofeedback,
+    mutual_information_given_state,
     open_loop_match,
     output_markov_pmf,
     post_alpha_capacity,
@@ -222,7 +223,7 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
         laws.insert(0, np.array([solved[c][0] for c in classes]))
     kernel = compose_causal(output_state_policy(laws, s0))
     channel = build_sequence_kernel(spec, n, s0).kernel
-    return np.array(stages), optimize._certificate(channel, kernel.values, cfg.kkt_tolerance)[0]
+    return np.array(stages), directed_information(kernel, channel)
 
 
 def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
@@ -279,6 +280,19 @@ def test_certificate_rejects_suboptimal_input():
     report = kkt_check(kin, PostAB(0.9, 0.9), 1, 0, 1e-6)
     assert not report.passed
     assert report.max_violation_support > 1e-2
+
+
+def test_certificate_fails_where_an_unused_input_reaches_an_unseen_output():
+    # always sending 0 from state 0 of the Z/S channel never yields output 1,
+    # which input 1 reaches: its inner term, and with it the gap, is infinite
+    spec = PostAlpha(0.5)
+    for n in (1, 2):
+        kin = open_loop_kernel(SequencePmf(2, n, np.eye(2**n)[0]), 2)
+        report = kkt_check(kin, spec, n, 0, 1e-7)
+        assert not report.passed
+        assert report.max_violation_offsupport == math.inf
+        assert report.polyhedron_gap == math.inf
+        assert report.max_violation_support < math.inf
 
 
 def test_certificate_beta_sum_identity_small_n():
@@ -465,6 +479,14 @@ def test_open_loop_solver_size_guard_raises_before_allocating():
         maximize_mi_nofeedback(MaryPost(1), 3, -1)
     with pytest.raises(ValueError, match="positive"):
         upper_bound(MaryPost(4), 0)
+    with pytest.raises(ValueError, match="positive"):
+        mutual_information_given_state(PostAlpha(0.5), 0, 0, SequencePmf(2, 0, np.ones(1)))
+    with pytest.raises(ValueError, match="out of range"):
+        mutual_information_given_state(PostAlpha(0.5), 2, 2, SequencePmf(2, 2, np.full(4, 0.25)))
+    with pytest.raises(ValueError, match="positive"):
+        build_sequence_kernel(PostAlpha(0.5), 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        build_sequence_kernel(PostAlpha(0.5), 2, -1)
 
 
 def test_upper_bound_scans_initial_states():

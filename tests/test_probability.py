@@ -193,6 +193,33 @@ def test_compose_rejects_level_mismatch():
         StepPolicy(2, 2, 2, 1, (np.array([[[0.4, 0.6]]]), np.full((2, 1, 2), 0.5)))
 
 
+def test_step_first_axis_is_the_a_prefix_or_1():
+    # step 2 of a ternary delay-1 policy: first axis 3 (a^1) or 1 (no dependence on a_1)
+    first = np.full((1, 1, 3), 1.0 / 3.0)
+    for rows in (1, 3):
+        StepPolicy(3, 2, 2, 1, (first, np.full((rows, 2, 3), 1.0 / 3.0)))
+    for rows in (0, 2, 4, 9):
+        with pytest.raises(ValueError, match=r"expected \(3, 2, 3\) or \(1, 2, 3\)"):
+            StepPolicy(3, 2, 2, 1, (first, np.full((rows, 2, 3), 1.0 / 3.0)))
+
+
+def test_compose_delay0_steps_with_first_axis_1_is_the_memoryless_channel():
+    # p(y_i | x_i) alone: the composed channel is the Kronecker power of the
+    # one-step matrix, multiplied in the same order, and the steps broadcast
+    # to a full first axis compose to the same bits
+    rng = np.random.default_rng(11)
+    w = rng.dirichlet(np.ones(3), size=2).T  # rows y, columns x
+    n = 4
+    steps = tuple(np.tile(w.T, (2 ** (i - 1), 1))[None] for i in range(1, n + 1))
+    kernel = compose_causal(StepPolicy(3, 2, n, 0, steps))
+    want = w
+    for _ in range(n - 1):
+        want = np.kron(want, w)
+    assert np.array_equal(kernel.values, want)
+    full = tuple(np.broadcast_to(step, (3**i, *step.shape[1:])) for i, step in enumerate(steps))
+    assert np.array_equal(compose_causal(StepPolicy(3, 2, n, 0, full)).values, kernel.values)
+
+
 # -- chain join: the joint law _joint pairs an input kernel with a channel ------
 
 
