@@ -192,34 +192,28 @@ def step_kernel(spec, state):
     return np.array(spec.class_matrices[spec.state_classes[state]])
 
 
-def _block_matrix(coeffs, state_classes, n, target):
-    """Level-n matrix of the first-symbol block recursion from class target.
+def _block_matrix(spec, n, s0):
+    """Level-n matrix of the first-symbol block recursion from state s0.
 
-    coeffs maps each class to its one-step matrix C_c.  Block (i, j) of
-    the level-l matrix of class c is C_c[i, j] times the level-(l-1)
-    matrix of the class of state i.  Each level is written into one
-    preallocated array; only the target class is built at the top level.
-    A result above DENSE_ENTRY_CAP entries raises before anything is
-    allocated.
+    Block (y, x) of the level-l matrix of a class is p(y | x) of that
+    class times the level-(l-1) matrix of state y's class.  The class
+    matrices are stacked once, below[y] giving the row of state y's
+    class; each level is one array, filled one output symbol at a time,
+    and only s0's class is built at the top level.  A result above
+    DENSE_ENTRY_CAP entries raises before anything is allocated.
     """
-    rows, cols = next(iter(coeffs.values())).shape
-    _check_entries("dense matrix", rows**n * cols**n)
-    # (i, j, C_c[i, j], class whose lower-level matrix fills block (i, j))
-    terms = {
-        cls: [(i, j, mat[i, j], state_classes[i]) for i, j in np.argwhere(mat).tolist()]
-        for cls, mat in coeffs.items()
-    }
-    prev = dict.fromkeys(coeffs, np.ones((1, 1)))
+    classes, below = np.unique(spec.state_classes, return_inverse=True)
+    mats = np.stack([spec.class_matrices[c] for c in classes])
+    k, x = mats.shape[1:]
+    _check_entries("dense matrix", k**n * x**n)
+    cur = np.ones((len(mats), 1, 1))
     for level in range(1, n + 1):
-        r, c = rows ** (level - 1), cols ** (level - 1)
-        cur = {}
-        for cls in coeffs if level < n else (target,):
-            out = np.zeros((rows * r, cols * c))
-            for i, j, w, src in terms[cls]:
-                np.multiply(w, prev[src], out=out[i * r : (i + 1) * r, j * c : (j + 1) * c])
-            cur[cls] = out
-        prev = cur
-    return prev[target]
+        top = mats if level < n else mats[below[s0], None]
+        out = np.empty((len(top), k, cur.shape[1], x, cur.shape[2]))
+        for y in range(k):
+            np.multiply(top[:, y, None, :, None], cur[below[y], None, :, None, :], out=out[:, y])
+        cur = out.reshape(len(top), k * cur.shape[1], x * cur.shape[2])
+    return cur[0]
 
 
 def _vector_levels(coeffs, n):
@@ -254,6 +248,12 @@ def _check_start(spec, n, s0):
         raise ValueError("n must be positive")
     if not 0 <= s0 < output_alphabet(spec):
         raise ValueError(f"initial state {s0} out of range")
+
+
+def _check_causal_kernel(spec, n, s0):
+    """Raise ValueError unless a causal kernel of (spec, n, s0), |X|^n |Y|^(n-1) entries, fits."""
+    _check_start(spec, n, s0)
+    _check_entries("causal kernel", input_alphabet(spec) ** n * output_alphabet(spec) ** (n - 1))
 
 
 def _check_pass_size(spec, n, s0):
@@ -348,11 +348,10 @@ def _check_lumped_size(spec, n, s0):
     label k + 1, and to output y, with probability w; new says the input
     is the new label.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_start(spec, n, s0)
     labels = spec.free_labels
-    if not 0 <= s0 < spec.input_size or s0 in labels:
-        raise ValueError(f"initial state {s0} out of range or not fixed by relabelling")
+    if s0 in labels:
+        raise ValueError(f"initial state {s0} not fixed by relabelling")
     n_fixed, most = spec.input_size - len(labels), min(len(labels), n)
     # orbits[k]: input orbits of the current prefix length with k labels
     orbits = [1]
@@ -390,32 +389,30 @@ def _check_lumped_size(spec, n, s0):
     return core, start, fixed, transitions
 
 
-def _orbit_step(first, node, k, seen, d, fixed_index):
-    """Advance the orbit walk of some sequences by one symbol each; returns their new nodes.
+def _canonical_digits(k, seen, d, fixed_index):
+    """Next digit of some sequences' orbit codes, for their next symbols d.
 
-    node is each sequence's node in the representatives' tree, k its
-    number of distinct free labels so far and seen[r, j] the symbol it
-    reads as label j + 1, -1 if none yet (one column more than there are
-    labels); k and seen are updated in place.  d holds the sequences'
-    next symbols and fixed_index[d] the place of symbol d among the fixed
-    symbols, or -1 for a free label, in an integer dtype that holds every
-    symbol.  first[v] is the first child of node v, whose children are
-    its choices in _check_lumped_size's order.
+    k is each sequence's number of distinct free labels so far and
+    seen[r, j] the symbol it reads as label j + 1, -1 if none yet (one
+    column more than there are labels); k and seen are updated in place.
+    fixed_index[d] is the place of symbol d among the fixed symbols, or
+    -1 for a free label, in an integer dtype that holds every symbol.
+    The digit is that fixed place, or n_fixed + label for the label's
+    0-based number: the index of the symbol in _check_lumped_size's
+    choices.
     """
     n_fixed = int((fixed_index >= 0).sum())
     match = seen == d[:, None]
     hit = match.any(axis=1)
-    choice = fixed_index[d]
+    digit = fixed_index[d]
     label = match.argmax(axis=1)
     label[~hit] = k[~hit]
-    free = choice < 0
-    choice[free] = n_fixed + label[free]
+    free = digit < 0
+    digit[free] = n_fixed + label[free]
     fresh = np.flatnonzero(free & ~hit)
     seen[fresh, k[fresh]] = d[fresh]
     k[fresh] += 1
-    node = first[node]
-    node += choice
-    return node
+    return digit
 
 
 @dataclass(frozen=True)
@@ -433,8 +430,7 @@ class _LumpedChannel:
     cols[t]), W(y | x) for the representative x of orbit cols[t] and one
     output y of orbit rows[t] (repeated pairs add); ent_X = sum_y W ln W.
     Input and output orbits share one numbering, with sizes |O| and
-    log_sizes ln |O|; tree holds the representatives' prefixes, level by
-    level (see _lumped_channel).
+    log_sizes ln |O|.
     """
 
     rows: np.ndarray
@@ -443,7 +439,6 @@ class _LumpedChannel:
     ent: np.ndarray
     sizes: np.ndarray
     log_sizes: np.ndarray
-    tree: tuple
 
     def divergences(self, law):
         """D_X in nats for the orbit masses law; outputs with Q = 0 take ln(Q / |O|) = 0."""
@@ -455,59 +450,54 @@ class _LumpedChannel:
 def _lumped_channel(spec, n, s0):
     """The _LumpedChannel of (spec, n, s0), built position by position after _check_lumped_size.
 
-    One tree holds the representatives' prefixes: level i lists them with
-    each node's children in the order of _check_lumped_size's choices.
     Each (representative prefix, output prefix) pair with positive
     probability steps through the transitions of its label count and
-    state, and its output prefix walks the same tree (_orbit_step), so
-    the outputs' orbits are known at the last level.
+    state.  Both prefixes carry an orbit code, one digit per position in
+    base n_fixed + most (below 9^7 at every size the check admits): the
+    input's digit is its choice, the output's the digit
+    _canonical_digits reads off it.  Choices list fixed symbols first,
+    then labels, so code order is the representatives' lexicographic
+    order; every representative is the input of some pair, so ranking
+    the input codes numbers the orbits and places each output code.
     """
     core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
     size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
     out = out.astype(np.int16)
     count = np.bincount(key, minlength=(most + 1) * size)
     offset = np.cumsum(count) - count
-
-    tree, labels = [], np.zeros(1, np.intp)
-    for _ in range(n):
-        children = n_fixed + labels + (labels < most)
-        first = np.cumsum(children) - children
-        tree.append(first)
-        parent = np.repeat(labels, children)
-        labels = parent + (np.arange(len(parent)) - np.repeat(first, children) == n_fixed + parent)
     falling = np.cumprod([1.0, *(len(spec.free_labels) - np.arange(most, dtype=float))])
 
     fixed_index = np.full(size, -1, np.int16)
     fixed_index[fixed] = np.arange(n_fixed)
-    # one entry per (representative prefix, output prefix) pair, with the
-    # output prefix's node (rows) and orbit walk state (k, seen); the
-    # arrays of the last level are the channel's nonzeros
-    node, rows, here, prob = np.zeros(1, np.intp), np.zeros(1, np.intp), np.array([start]), np.ones(1)
+    # one entry per (representative prefix, output prefix) pair, with both
+    # codes and the output prefix's orbit walk state (k, seen); the arrays
+    # of the last level are the channel's nonzeros
+    xcode, ycode, here, prob = np.zeros(1, np.int64), np.zeros(1, np.int64), np.array([start]), np.ones(1)
     k, seen = np.zeros(1, np.int16), np.full((1, most + 1), -1, np.int16)
-    for first in tree:
+    for _ in range(n):
         counts = count[here]
         parent = np.repeat(np.arange(len(here)), counts)
         t = (offset[here] - np.cumsum(counts) + counts)[parent]
         t += np.arange(len(parent))
-        node = first[node[parent]]
-        node += choice[t]
+        xcode = xcode[parent] * (n_fixed + most) + choice[t]
         prob = prob[parent]
         prob *= weight[t]
-        k, seen, rows = k[parent], seen[parent], rows[parent]
+        k, seen, ycode = k[parent], seen[parent], ycode[parent]
         here = (here[parent] // size + new[t]) * size + out[t]
         d = out[t]
         del parent, t  # before the walk's temporaries
-        rows = _orbit_step(first, rows, k, seen, d, fixed_index)
-    del here, k, seen, d
-    sizes = falling[labels]
+        ycode = ycode * (n_fixed + most) + _canonical_digits(k, seen, d, fixed_index)
+    del k, seen, d
+    codes, first, cols = np.unique(xcode, return_index=True, return_inverse=True)
+    rows = np.searchsorted(codes, ycode)
+    sizes = falling[here[first] // size]
     return _LumpedChannel(
         rows,
-        node,
+        cols,
         prob,
-        np.bincount(node, prob * np.log(prob), minlength=len(sizes)),
+        np.bincount(cols, prob * np.log(prob), minlength=len(sizes)),
         sizes,
         np.log(sizes),
-        tuple(tree),
     )
 
 
@@ -544,7 +534,6 @@ def build_sequence_kernel(spec, n, s0, storage="dense"):
     _check_start(spec, n, s0)
     if storage != "dense":
         raise ValueError(f"unknown storage mode {storage!r}")
-    classes = spec.state_classes
-    values = _block_matrix(spec.class_matrices, classes, n, classes[s0])
+    values = _block_matrix(spec, n, s0)
     kernel = CausalKernel(output_alphabet(spec), input_alphabet(spec), n, 0, values)
     return ChannelMatrix(spec, n, s0, kernel)

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha, _check_entries, _inverse_class_matrices
-from .channels import _vector_level_row, _vector_levels
+from .channels import PostAB, PostAlpha, _check_causal_kernel, _check_entries, _check_start
+from .channels import _inverse_class_matrices, _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
 from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy, compose_causal
 
@@ -53,10 +53,7 @@ def _input_levels(spec, n):
 
 def _open_loop_input(spec, n, s0) -> SequencePmf:
     """Open-loop input of a binary family whose output is the feedback-optimal chain."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if s0 not in (0, 1):
-        raise ValueError("s0 must be 0 or 1")
+    _check_start(spec, n, s0)
     return SequencePmf(2, n, _vector_level_row(_input_coeffs(spec), n, s0))
 
 
@@ -283,9 +280,8 @@ def feedback_policy(spec, n, s0) -> CausalKernel:
     output only.  The state-1 law is the state-0 law with the input
     labels swapped.
     """
+    _check_causal_kernel(spec, n, s0)
     base = closed_form_solution(spec, markov=True).input_pmf
-    if s0 not in (0, 1):
-        raise ValueError("s0 must be 0 or 1")
     return compose_causal(_output_state_policy([np.array([base, base[::-1]])] * n, s0))
 
 

@@ -35,17 +35,14 @@ import numpy as np
 
 from .channels import (
     _channel_steps,
-    _check_entries,
+    _check_causal_kernel,
     _check_lumped_size,
     _check_pass_size,
-    _check_start,
     _divergences,
     _forward_pass,
     _lumped_channel,
     build_sequence_kernel,
     initial_states,
-    input_alphabet,
-    output_alphabet,
 )
 from .closed_form import closed_form_solution
 from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
@@ -122,8 +119,8 @@ class KktReport:
 
     beta holds, for each output context y^{n-1} in sequence order, the
     support-weighted mean of the inner expression over that context
-    (nats); implied_capacity is (sum of the multipliers + 1) converted
-    to bits.
+    (nats); implied_capacity, (sum of the multipliers + 1) in bits, is
+    the n-letter capacity, not a per-use rate.
 
     The stationarity condition is checked on the per-input-sequence sum
     of the inner expression across output contexts: it must equal the
@@ -340,12 +337,10 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     not read.
     """
     cfg = cfg or OptimizerConfig()
-    _check_start(spec, n, s0)
-    k, x = output_alphabet(spec), input_alphabet(spec)
-    _check_entries("causal kernel", x**n * k ** (n - 1))
+    _check_causal_kernel(spec, n, s0)
     classes, mats = spec.state_classes, spec.class_matrices
     # per state: lower is L_r, gap is U_r - L_r
-    lower, gap, laws, support = np.zeros(k), np.zeros(k), [], 0.0
+    lower, gap, laws, support = np.zeros(len(classes)), np.zeros(len(classes)), [], 0.0
     solved = dict.fromkeys(mats, (None,))
     for _ in range(n):
         solved = {

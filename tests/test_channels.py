@@ -17,13 +17,13 @@ from postcap import (
 )
 from postcap.channels import (
     _backward_pass,
+    _canonical_digits,
     _channel_steps,
     _check_lumped_size,
     _divergences,
     _forward_pass,
     _inverse_class_matrices,
     _lumped_channel,
-    _orbit_step,
     _vector_levels,
 )
 from postcap.closed_form import mary_state_policy
@@ -159,6 +159,30 @@ def test_mary_kernel_nonzeros_per_column_bounded():
         assert np.count_nonzero(values, axis=0).max() <= 2**n
 
 
+def _right_nested(spec, n, s0):
+    """p(y^n || x^n, s0) entry by entry: P_s0[y1, x1] * (P_y1[y2, x2] * (... * P_y(n-1)[yn, xn]))."""
+    mats = [step_kernel(spec, s) for s in range(len(spec.state_classes))]
+    ys = list(itertools.product(range(len(mats)), repeat=n))
+    xs = list(itertools.product(range(spec.input_size), repeat=n))
+    out = np.empty((len(ys), len(xs)))
+    for (r, y), (c, x) in itertools.product(enumerate(ys), enumerate(xs)):
+        value = 1.0
+        for i in reversed(range(n)):
+            value = mats[y[i - 1] if i else s0][y[i], x[i]] * value
+        out[r, c] = value
+    return out
+
+
+def test_sequence_kernel_is_the_right_nested_product_bit_for_bit():
+    rng = np.random.default_rng(19)
+    custom = CustomPost(tuple(rng.dirichlet(np.ones(3), size=2).T for _ in range(3)))
+    for spec, top in ((PostAB(0.6, 0.5), 4), (PostAlpha(0.3), 4), (MaryPost(2), 3), (custom, 3)):
+        for n in range(1, top + 1):
+            for s0 in range(len(spec.state_classes)):
+                got = build_sequence_kernel(spec, n, s0).kernel.values
+                assert np.array_equal(got, _right_nested(spec, n, s0))
+
+
 def test_dense_cap_enforced():
     with pytest.raises(ValueError, match="entries"):
         build_sequence_kernel(MaryPost(4), 6, 0)
@@ -188,17 +212,18 @@ def test_channel_passes_match_dense_kernel(spec):
 # -- lumped channel on label-symmetry orbits --------------------------------------
 
 
-def _sequence_orbits(m, n, lumped):
-    """Orbit of every sequence of MaryPost(m), in sequence order."""
+def _sequence_orbits(m, n):
+    """Orbit of every sequence of MaryPost(m), in sequence order: the rank of its orbit code."""
     index = np.arange((m + 1) ** n)
-    columns = [(index // (m + 1) ** (n - 1 - i) % (m + 1)).astype(np.int16) for i in range(n)]
     fixed_index = np.full(m + 1, -1, np.int16)
     fixed_index[[0, m]] = (0, 1)
-    rows, k = np.zeros(len(index), np.intp), np.zeros(len(index), np.int16)
-    seen = np.full((len(index), min(m - 1, n) + 1), -1, np.int16)
-    for first, d in zip(lumped.tree, columns):
-        rows = _orbit_step(first, rows, k, seen, d, fixed_index)
-    return rows
+    most = min(m - 1, n)
+    codes, k = np.zeros(len(index), np.int64), np.zeros(len(index), np.int16)
+    seen = np.full((len(index), most + 1), -1, np.int16)
+    for i in range(n):
+        d = (index // (m + 1) ** (n - 1 - i) % (m + 1)).astype(np.int16)
+        codes = codes * (2 + most) + _canonical_digits(k, seen, d, fixed_index)
+    return np.unique(codes, return_inverse=True)[1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -209,7 +234,7 @@ def test_lumped_divergences_match_channel_passes(m):
     for n in (1, 2, 3, 4):
         for s0 in (0, m):
             lumped = _lumped_channel(spec, n, s0)
-            orbits = _sequence_orbits(m, n, lumped)
+            orbits = _sequence_orbits(m, n)
             assert lumped.sizes.sum() == (m + 1) ** n
             assert np.array_equal(np.bincount(orbits), lumped.sizes)
             masses = rng.dirichlet(np.ones(len(lumped.sizes)))
@@ -221,13 +246,16 @@ def test_lumped_divergences_match_channel_passes(m):
 
 def test_lumped_channel_counts_at_n6():
     # the orbits and nonzeros do not depend on m once m - 1 >= n free labels exist
-    for m, s0, orbits, nonzeros in (
-        (4, 0, 2990, 17782),
-        (8, 0, 3263, 19648),
-        (8, 8, 3263, 8764),
-        (1024, 0, 3263, 19648),
+    for m, n, s0, orbits, nonzeros in (
+        (4, 6, 0, 2990, 17782),
+        (8, 6, 0, 3263, 19648),
+        (8, 6, 8, 3263, 8764),
+        (1024, 6, 0, 3263, 19648),
+        (8, 7, 0, 17007, 129472),
+        (8, 7, 8, 17007, 55816),
+        (1024, 7, 0, 17007, 129472),
     ):
-        lumped = _lumped_channel(MaryPost(m), 6, s0)
+        lumped = _lumped_channel(MaryPost(m), n, s0)
         assert (len(lumped.sizes), len(lumped.values)) == (orbits, nonzeros)
 
 
@@ -241,6 +269,13 @@ def test_lumped_size_check():
         _check_lumped_size(MaryPost(4), 3, 2)
     with pytest.raises(ValueError, match="positive"):
         _check_lumped_size(MaryPost(4), 0, 0)
+
+
+def test_lumped_start_check_names_its_failure():
+    with pytest.raises(ValueError, match="initial state 7 out of range$"):
+        _check_lumped_size(MaryPost(4), 3, 7)
+    with pytest.raises(ValueError, match="initial state 2 not fixed by relabelling$"):
+        _check_lumped_size(MaryPost(4), 3, 2)
 
 
 # -- inverses: one-step matrices and the vector recursion ----------------------

@@ -14,6 +14,7 @@ from postcap import (
     build_sequence_kernel,
     closed_form_solution,
     compose_causal,
+    feedback_policy,
     induction_step_check,
     inequality_sweep,
     output_markov_pmf,
@@ -156,6 +157,18 @@ def test_recursive_input_ab_requires_nondegenerate():
         recursive_input_ab(0.3, 0.7, 2, 0)
 
 
+def test_start_checks_of_the_binary_constructions():
+    # feedback_policy composes an output-state policy, so it passes the causal kernel's gate
+    with pytest.raises(ValueError, match="positive"):
+        feedback_policy(PostAlpha(0.5), 0, 0)
+    with pytest.raises(ValueError, match="causal kernel would hold 2097152 entries"):
+        feedback_policy(PostAlpha(0.5), 11, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        feedback_policy(PostAlpha(0.5), 3, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        recursive_input_ab(0.9, 0.7, 3, 2)
+
+
 def test_vector_recursion_size_guard_raises_before_allocating():
     # 2^21 entries per row exceed DENSE_ENTRY_CAP; without the guard each
     # call would allocate tens of MB
@@ -221,6 +234,12 @@ def test_beta_intervals_ab_z_channel_case():
     assert iv.nonempty_witness is not None
     lo, hi = beta_interval_alpha(0.5)
     assert lo - 1e-12 <= iv.nonempty_witness <= hi + 1e-12
+
+
+def test_beta_intervals_ab_relabel_below_the_line():
+    # a + b < 1 is the channel with both outputs relabelled
+    for a, b in ((0.75, 0.625), (0.875, 0.5), (0.5, 0.75)):
+        assert beta_intervals_ab(1 - a, 1 - b) == beta_intervals_ab(a, b)
 
 
 def test_beta_intervals_symmetric_channel():
