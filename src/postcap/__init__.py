@@ -28,7 +28,6 @@ from .closed_form import (
     PostAlphaSolution,
     binary_dmc_capacity,
     closed_form_solution,
-    iid_state_example,
     mary_feedback_capacity,
     mary_output_chain,
     mary_scheme_rate,
@@ -41,7 +40,6 @@ from .construction import (
     InequalityReport,
     beta_interval_alpha,
     beta_intervals_ab,
-    feedback_policy,
     induction_step_check,
     inequality_sweep,
     output_markov_pmf,

@@ -127,9 +127,9 @@ def cmd_capacity(parser, args):
 
 
 def _table1_rows(args, cfg):
-    """Rows (m, upper bound, its residual in nats, scheme rate, feedback capacity).
+    """Rows (m, upper bound, its interval's width in nats, scheme rate, feedback capacity).
 
-    The upper bound and its residual are None for m above args.upper_bound_max_m.
+    The upper bound and its width are None for m above args.upper_bound_max_m.
     """
     ms = []
     m = 1
@@ -182,11 +182,11 @@ def cmd_table1(parser, args):
     if not args.check:
         return 0
     ok = True
-    for m, ub, residual, rate, fb in rows:
-        if residual is not None and residual > cfg.kkt_tolerance:
+    for m, ub, width, rate, fb in rows:
+        if width is not None and width > cfg.kkt_tolerance:
             print(
                 f"check failed: m={m} upper-bound solve stopped at the iteration cap "
-                f"(residual {residual:.3e} nats)",
+                f"(interval width {width:.3e} nats)",
                 file=sys.stderr,
             )
             ok = False

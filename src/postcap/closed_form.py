@@ -226,13 +226,6 @@ def mary_scheme_rate(m) -> float:
     return math.log2(m) / 3.0
 
 
-def iid_state_example():
-    """(non-feedback, feedback) capacities of the i.i.d.-state Z/S channel."""
-    no_feedback = binary_entropy(0.25) - 0.5
-    feedback = binary_entropy(0.2) - 0.4
-    return no_feedback, feedback
-
-
 def closed_form_solution(spec, markov=False):
     """The closed-form solution of a named family, looked up by its spec.
 

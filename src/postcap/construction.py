@@ -15,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha, _check_causal_kernel, _check_entries, _check_start
+from .channels import PostAB, PostAlpha, _check_entries, _check_start
 from .channels import _inverse_class_matrices, _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
-from .probability import CausalKernel, SequencePmf, StepPolicy, binary_entropy, compose_causal
+from .probability import SequencePmf, StepPolicy, binary_entropy
 
 
 def _output_chain(delta):
@@ -271,18 +271,6 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
     add("gamma_ge_bbar_over_b", "a+b>1", gamma - (1.0 - b) / b)
     add("gamma_le_a_over_abar", "a+b>1", a / (1.0 - a) - gamma)
     return report
-
-
-def feedback_policy(spec, n, s0) -> CausalKernel:
-    """Capacity-achieving feedback policy, as a causal kernel: one input law per channel state.
-
-    Step 1 uses the initial state; later steps condition on the previous
-    output only.  The state-1 law is the state-0 law with the input
-    labels swapped.
-    """
-    _check_causal_kernel(spec, n, s0)
-    base = closed_form_solution(spec, markov=True).input_pmf
-    return compose_causal(_output_state_policy([np.array([base, base[::-1]])] * n, s0))
 
 
 def _output_state_policy(laws, s0) -> StepPolicy:

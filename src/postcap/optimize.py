@@ -13,7 +13,9 @@ them, so it iterates on orbit masses through one sparse lumped channel,
 two np.bincount products per pass, and never forms a per-sequence pmf.
 Both solvers run the same Blahut-Arimoto update; the open-loop loop
 over-relaxes it (Matz & Duhamel, ITW 2004) and falls back to the plain
-step whenever an over-relaxed one lowers the objective.
+step whenever an over-relaxed one lowers the objective.  The open-loop
+loop yields its kept iterates, so upper_bound races its start states and
+drops each one whose Arimoto bound falls below the best value kept.
 
 Certificates: the feedback solver certifies itself.  Beside the stage
 values L_r of the policy it returns, the DP carries an upper recursion
@@ -43,6 +45,7 @@ from .channels import (
     _lumped_channel,
     build_sequence_kernel,
     initial_states,
+    input_alphabet,
 )
 from .closed_form import closed_form_solution
 from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
@@ -358,18 +361,18 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
 
 
 def _over_relaxed_ba(divergences_of, p, cfg):
-    """Safeguarded over-relaxed Blahut-Arimoto from the law p.
+    """Safeguarded over-relaxed Blahut-Arimoto from the law p: a generator of kept iterates.
 
     p <- p exp(mu D) / Z, with D = divergences_of(p) the per-input
     divergences.  mu starts at 1 and doubles after each step from a kept
     iterate, up to MU_MAX.  A step with mu > 1 that lowers the objective
     is rejected: the plain step (mu = 1, which never lowers it) is taken
-    from the last kept iterate instead, and mu starts again at 1.  The
-    stopping rule bounds the one-shot optimality residual (difference
-    between the largest divergence and the achieved value, an upper bound
-    on the capacity gap whatever the step) by cfg.kkt_tolerance nats;
-    cfg.max_iterations bounds the evaluations of divergences_of.  Returns
-    (law, value, residual) of the last kept iterate, both in nats.
+    from the last kept iterate instead, and mu starts again at 1.  Yields
+    (law, value, top) per kept iterate, value = p . D and top = max D in
+    nats: the capacity is at most top whatever the law (Arimoto, IEEE
+    T-IT 18(1), 1972).  Stops after the first iterate whose residual
+    top - value is at most cfg.kkt_tolerance, or once cfg.max_iterations
+    evaluations of divergences_of are spent.
     """
     # mu is the multiplier of the next step from a kept iterate; over
     # records whether p came from a step with mu > 1
@@ -383,12 +386,12 @@ def _over_relaxed_ba(divergences_of, p, cfg):
         if value < prev - 1e-11:
             raise RuntimeError(f"objective decreased from {prev!r} to {value!r}")
         kept, kept_divergences, prev = p, divergences, value
-        residual = float(divergences.max()) - value
-        if residual <= cfg.kkt_tolerance:
-            break
+        top = float(divergences.max())
+        yield p, value, top
+        if top - value <= cfg.kkt_tolerance:
+            return
         p, over = _ba_step(p, mu * divergences), mu > 1.0
         mu = min(2.0 * mu, MU_MAX)
-    return kept, prev, residual
 
 
 def _start_law(weights, cfg):
@@ -396,6 +399,20 @@ def _start_law(weights, cfg):
     if cfg.initialization == "random":
         weights = weights * np.random.default_rng(cfg.seed).uniform(0.05, 1.0, len(weights))
     return weights / weights.sum()
+
+
+def _open_loop_iterates(spec, n, s0, cfg, lumped):
+    """_over_relaxed_ba of I(X^n; Y^n | s0) on sequence pmfs, or on the lumped channel's orbit masses.
+
+    The start is the uniform sequence law (orbit masses proportional to
+    the orbit sizes), times seeded draws under cfg.initialization "random".
+    """
+    if lumped:
+        channel = _lumped_channel(spec, n, s0)
+        return _over_relaxed_ba(channel.divergences, _start_law(channel.sizes, cfg), cfg)
+    steps, ent = _channel_steps(spec, n, s0)
+    p = _start_law(np.ones(steps.shape[2] ** n), cfg)
+    return _over_relaxed_ba(lambda law: _divergences(steps, ent, s0, n, law), p, cfg)
 
 
 def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
@@ -410,11 +427,9 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     T-IT 18(1), 1972).
     """
     cfg = cfg or OptimizerConfig()
-    steps, ent = _channel_steps(spec, n, s0)
-    x_alph = steps.shape[2]
-    p = _start_law(np.ones(x_alph**n), cfg)
-    pmf, value, residual = _over_relaxed_ba(lambda law: _divergences(steps, ent, s0, n, law), p, cfg)
-    return SequencePmf(x_alph, n, pmf), value / LN2, residual
+    for pmf, value, top in _open_loop_iterates(spec, n, s0, cfg, lumped=False):
+        pass
+    return SequencePmf(input_alphabet(spec), n, pmf), value / LN2, top - value
 
 
 def _check_upper_bound_size(spec, n):
@@ -425,32 +440,38 @@ def _check_upper_bound_size(spec, n):
 
 
 def upper_bound(spec, n, cfg: OptimizerConfig = None):
-    """(best per-use mutual information over initial states in bits, largest residual in nats).
+    """(best per-use mutual information over initial states in bits, width of its proven interval in nats).
 
     Each initial state's solve is maximize_mi_nofeedback's, except that
     a spec with free labels runs the same loop on the orbit masses of its
-    lumped channel, from P proportional to the orbit sizes (the uniform
-    sequence law) or, with cfg.initialization "random", to the sizes
-    times seeded random draws (an orbit-constant random law).  Every
-    sequence iterate is then constant on orbits, and so are its
-    divergences, so the orbit masses are those of the sequence solve
-    from the same law in exact arithmetic and the residual is still
-    Arimoto's bound.  In floating point the two agree to rounding, which
-    the over-relaxed steps can amplify into a different path to the same
-    optimum.  Every solve certified exactly when the residual returned
-    is at most cfg.kkt_tolerance.
+    lumped channel.  Every sequence iterate is then constant on orbits,
+    and so are its divergences, so the orbit masses are those of the
+    sequence solve from the same law in exact arithmetic; in floating
+    point the over-relaxed steps can amplify rounding into a different
+    path to the same optimum.
+
+    The solves race, one kept iterate per running state per round.  A
+    state's capacity is at most its largest divergence max_x D_s(x)
+    (Arimoto, IEEE T-IT 18(1), 1972), so a state stops once that is
+    strictly below the best value kept by any state; the others run as
+    they would alone, until certified or out of their own budget, so the
+    value is that of every solve run to the end.  The width is the
+    largest last divergence over states minus the best value: the
+    maximum is proven within value + width / (n ln 2) bits per use.
     """
     cfg = cfg or OptimizerConfig()
-    best, worst = -math.inf, -math.inf
-    for s0 in initial_states(spec):
-        if spec.free_labels:
-            lumped = _lumped_channel(spec, n, s0)
-            _, value, residual = _over_relaxed_ba(lumped.divergences, _start_law(lumped.sizes, cfg), cfg)
-            value /= LN2
-        else:
-            _, value, residual = maximize_mi_nofeedback(spec, n, s0, cfg)
-        best, worst = max(best, value), max(worst, residual)
-    return best / n, worst
+    running = {s0: _open_loop_iterates(spec, n, s0, cfg, spec.free_labels) for s0 in initial_states(spec)}
+    last = {}  # per state, (value, top) of its last kept iterate
+    while running:
+        for s0, iterates in list(running.items()):
+            kept = next(iterates, None)
+            if kept is None:
+                del running[s0]
+            else:
+                last[s0] = kept[1:]
+        best = max(value for value, _ in last.values())
+        running = {s0: iterates for s0, iterates in running.items() if last[s0][1] >= best}
+    return best / LN2 / n, max(top for _, top in last.values()) - best
 
 
 def open_loop_match(spec, n, s0) -> MatchReport:

@@ -1,11 +1,13 @@
-"""Dense reference constructions that only the tests use.
+"""Dense reference constructions and worked examples that only the tests use.
 
 Each builds or checks a sequence-level object directly, so the tests can
 hold the package's faster paths to them: lifting a plain input pmf to a
 causal kernel, the constraints of a valid causal kernel and the
 per-step conditionals it factors into, the output law induced through
 the dense channel, the per-step decomposition of directed information,
-and the step arrays of an output-state policy.
+the step arrays of an output-state policy, and the closed-form feedback
+policy of a binary family as a causal kernel.  iid_state_example holds
+the capacities of the paper's i.i.d.-state example.
 """
 
 import math
@@ -13,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from postcap.channels import build_sequence_kernel
-from postcap.probability import CausalKernel, SequencePmf, StepPolicy, _joint
+from postcap.channels import _check_causal_kernel, build_sequence_kernel
+from postcap.closed_form import closed_form_solution
+from postcap.construction import _output_state_policy
+from postcap.probability import CausalKernel, SequencePmf, StepPolicy, _joint, binary_entropy, compose_causal
 
 # Allowed violation of the causal-kernel constraints in validate_causal.
 KERNEL_TOL = 1e-9
@@ -173,3 +177,23 @@ def output_state_policy(laws, s0) -> StepPolicy:
         last = np.arange(k**i) % k  # least-significant symbol of y^i
         steps.append(np.broadcast_to(law[last], (x**i, k**i, x)).copy())
     return StepPolicy(x, k, len(laws), 1, tuple(steps))
+
+
+def feedback_policy(spec, n, s0) -> CausalKernel:
+    """Capacity-achieving feedback policy, as a causal kernel: one input law per channel state.
+
+    Step 1 uses the initial state; later steps condition on the previous
+    output only.  The state-1 law is the state-0 law with the input
+    labels swapped.  It composes through the feedback solver's own path
+    and gate.
+    """
+    _check_causal_kernel(spec, n, s0)
+    base = closed_form_solution(spec, markov=True).input_pmf
+    return compose_causal(_output_state_policy([np.array([base, base[::-1]])] * n, s0))
+
+
+def iid_state_example():
+    """(non-feedback, feedback) capacities of the i.i.d.-state Z/S channel."""
+    no_feedback = binary_entropy(0.25) - 0.5
+    feedback = binary_entropy(0.2) - 0.4
+    return no_feedback, feedback

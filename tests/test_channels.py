@@ -27,11 +27,11 @@ from postcap.channels import (
     _vector_levels,
 )
 from postcap.closed_form import mary_state_policy
-from postcap.construction import feedback_policy, output_markov_pmf
+from postcap.construction import output_markov_pmf
 from postcap.probability import SequencePmf
 
 from channel_cases import PASS_SPECS
-from dense_reference import induced_output_pmf, open_loop_kernel, validate_causal
+from dense_reference import feedback_policy, induced_output_pmf, open_loop_kernel, validate_causal
 
 
 # -- one-step kernels ---------------------------------------------------------

@@ -111,6 +111,31 @@ m,upper_bound,scheme_rate,feedback_capacity
 """
 
 
+# the default table: the m = 2 upper bound is 0.8567625017 per use, 1.7e-9
+# above the rounding boundary 0.8567625, so a solver path that lands lower
+# but within tolerance would print 0.856762
+TABLE1_DEFAULT_CSV = """\
+m,upper_bound,scheme_rate,feedback_capacity
+1,0.791792,0.000000,0.759582
+2,0.856763,0.333333,0.832506
+4,0.980335,0.666667,1.000000
+8,,1.000000,1.259941
+16,,1.333333,1.536590
+32,,1.666667,1.826011
+64,,2.000000,2.125202
+128,,2.333333,2.431899
+256,,2.666667,2.744387
+512,,3.000000,3.061363
+1024,,3.333333,3.381833
+"""
+
+
+def test_table1_default_csv_is_pinned_byte_for_byte(tmp_path):
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--out", str(out)]) == 0
+    assert out.read_text() == TABLE1_DEFAULT_CSV
+
+
 def test_table1_closed_form_rows_are_pinned(tmp_path):
     # the scheme rate and the feedback capacity of all 11 rows, printed
     out = tmp_path / "table.csv"
@@ -152,7 +177,7 @@ def test_table1_check_fails_on_an_uncertified_upper_bound(monkeypatch, capsys):
     assert main(["table1", "--check", "--max-m", "2", "--upper-bound-max-m", "2"]) == 1
     captured = capsys.readouterr()
     for m in (1, 2):
-        want = f"check failed: m={m} upper-bound solve stopped at the iteration cap (residual "
+        want = f"check failed: m={m} upper-bound solve stopped at the iteration cap (interval width "
         assert want in captured.err
     assert captured.out.splitlines()[0] == "m,upper_bound,scheme_rate,feedback_capacity"
     # without --check the same table still exits 0

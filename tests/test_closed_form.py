@@ -16,7 +16,6 @@ from postcap import (
     binary_entropy,
     closed_form_solution,
     entropy,
-    iid_state_example,
     kkt_check,
     mary_feedback_capacity,
     mary_output_chain,
@@ -26,7 +25,7 @@ from postcap import (
     step_kernel,
 )
 
-from dense_reference import open_loop_kernel
+from dense_reference import iid_state_example, open_loop_kernel
 
 # -- array-valued grid oracle of the m-ary rate ---------------------------------
 # The rate on numpy arrays, for grid searches: an oracle independent of the

@@ -14,7 +14,6 @@ from postcap import (
     build_sequence_kernel,
     closed_form_solution,
     compose_causal,
-    feedback_policy,
     induction_step_check,
     inequality_sweep,
     output_markov_pmf,
@@ -25,7 +24,7 @@ from postcap import (
 from postcap.channels import _vector_level_row, _vector_levels
 from postcap.construction import _input_coeffs, _output_chain, _output_state_policy
 
-from dense_reference import output_state_policy
+from dense_reference import feedback_policy, output_state_policy
 
 
 # -- symmetric Markov output pmf ----------------------------------------------

@@ -21,10 +21,9 @@ from postcap import (
     random_policy,
     step_kernel,
 )
-from postcap.construction import feedback_policy
 from postcap.probability import _joint
 
-from dense_reference import directed_information_stepwise, open_loop_kernel
+from dense_reference import directed_information_stepwise, feedback_policy, open_loop_kernel
 
 NOISELESS = PostAB(1.0, 1.0)
 

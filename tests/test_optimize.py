@@ -35,11 +35,12 @@ from postcap import (
 )
 from postcap import channels, optimize
 from postcap.channels import SingularChannelError
-from postcap.construction import _input_levels, feedback_policy
+from postcap.construction import _input_levels
 from postcap.optimize import LOG_ZERO
+from postcap.probability import LN2
 
 from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
-from dense_reference import open_loop_kernel, output_state_policy, validate_causal
+from dense_reference import feedback_policy, open_loop_kernel, output_state_policy, validate_causal
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
 
@@ -410,12 +411,13 @@ def test_open_loop_solver_value_matches_plain_ba(spec, horizons):
 
 
 def test_open_loop_solver_iteration_count(monkeypatch):
-    # plain Blahut-Arimoto makes 5,668 updates here
+    # plain Blahut-Arimoto makes 5,668 updates here; the race makes 554,
+    # almost all of them the winning state's
     calls = []
     step = optimize._ba_step
     monkeypatch.setattr(optimize, "_ba_step", lambda p, d: calls.append(1) or step(p, d))
     upper_bound(MaryPost(2), 6, OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7))
-    assert len(calls) <= 2000
+    assert len(calls) <= 600
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -437,18 +439,45 @@ def test_open_loop_solver_is_monotone_and_certifies_where_plain_ba_does(data):
         assert not _reference_open_loop(spec, n, s0, cfg, mu_max=1.0)[2]
 
 
+def _kept_iterates(spec, n, cfg):
+    """(value, largest divergence) in nats of every kept iterate, per start state solved alone."""
+    return [
+        [(value, top) for _, value, top in optimize._open_loop_iterates(spec, n, s0, cfg, spec.free_labels)]
+        for s0 in channels.initial_states(spec)
+    ]
+
+
 def test_budget_stop_is_a_returned_residual_not_a_warning():
     cfg = OptimizerConfig(max_iterations=5, kkt_tolerance=1e-7)
     spec = MaryPost(1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solves = [maximize_mi_nofeedback(spec, 6, s0, cfg) for s0 in channels.initial_states(spec)]
-        _, worst = upper_bound(spec, 6, cfg)
+        value, width = upper_bound(spec, 6, cfg)
         _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
-    residuals = [residual for _, _, residual in solves]
-    assert min(residuals) > cfg.kkt_tolerance
-    assert worst == max(residuals)
+    assert min(residual for _, _, residual in solves) > cfg.kkt_tolerance
+    # the width is the largest last divergence over states minus the best
+    # last value; the losing state, dropped after 2 of its 4 kept iterates,
+    # has its largest divergence below the best value at the drop and after
+    lasts = [iterates[-1] for iterates in _kept_iterates(spec, 6, cfg)]
+    best = max(v for v, _ in lasts)
+    assert value == best / LN2 / 6
+    assert width == max(top for _, top in lasts) - best
+    assert width > cfg.kkt_tolerance
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(MaryPost(1), 6), (MaryPost(2), 6), (MaryPost(4), 6), (PostAB(0.9, 0.7), 4)]
+)
+def test_upper_bound_race_keeps_the_best_solve_bit_for_bit(spec, n):
+    # the race drops losing states early, but its value is the best state's
+    # solve run alone to the end, to the last bit
+    cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7)
+    value, width = upper_bound(spec, n, cfg)
+    best = max(iterates[-1][0] for iterates in _kept_iterates(spec, n, cfg))
+    assert value == best / LN2 / n
+    assert 0.0 <= width <= cfg.kkt_tolerance
 
 
 def test_open_loop_solver_size_guard_raises_before_allocating():
@@ -543,6 +572,18 @@ def test_upper_bound_on_orbits_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+def test_upper_bound_race_memory():
+    # the race holds both start states' solves at once; building the lumped
+    # channel of s0 = 0 peaked at 10.4 MiB alone, which this must not exceed
+    tracemalloc.start()
+    try:
+        upper_bound(MaryPost(8), 7, OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
 
 
 def test_upper_bound_dominates_closed_form():

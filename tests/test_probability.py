@@ -16,10 +16,9 @@ from postcap import (
     sequence_index,
 )
 from postcap.channels import PostAlpha, build_sequence_kernel, step_kernel
-from postcap.construction import feedback_policy
 from postcap.probability import _joint
 
-from dense_reference import factorize_causal, open_loop_kernel, output_state_policy, validate_causal
+from dense_reference import factorize_causal, feedback_policy, open_loop_kernel, output_state_policy, validate_causal
 
 
 # -- indexing ---------------------------------------------------------------
