@@ -245,11 +245,16 @@ def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
 
 
 def _ba_step(p, divergences):
-    """One Blahut-Arimoto update p <- p exp(divergences) / Z, in the log domain."""
-    log_p = np.where(p > 0, np.log(p, where=p > 0, out=np.zeros_like(p)), LOG_ZERO)
+    """One Blahut-Arimoto update p <- p exp(divergences) / Z, in the log domain.
+
+    log Z is logsumexp's, shifted by the maximum unless that is not finite.
+    """
+    log_p = np.log(p, where=p > 0, out=np.full_like(p, LOG_ZERO))
     log_p += divergences
-    log_p -= logsumexp(log_p)
-    return np.exp(log_p)
+    top = float(log_p.max())
+    top = top if math.isfinite(top) else 0.0
+    log_p -= np.log(np.exp(log_p - top).sum()) + top
+    return np.exp(log_p, out=log_p)
 
 
 def _newton_step(mat, p, q, d, value):

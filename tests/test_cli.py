@@ -1,3 +1,6 @@
+import math
+import os
+import select
 import subprocess
 import sys
 import time
@@ -6,7 +9,7 @@ import tracemalloc
 import pytest
 
 import postcap.cli
-from postcap.cli import main
+from postcap.cli import _map_over_cpus, main
 from postcap.optimize import KktReport
 
 
@@ -256,6 +259,126 @@ def test_table1_upper_bound_reaches_m8(capsys):
     last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
     assert last[0] == "8"
     assert float(last[1]) > 0.0
+
+
+def test_table1_check_at_another_horizon_keeps_the_width_and_closed_form_checks(monkeypatch, capsys):
+    # the reference upper bounds are the n = 6 ones: at n = 4 the bounds are
+    # larger (0.807805 vs 0.7918 at m = 1) and correct
+    assert main(["table1", "--check", "--n", "4", "--max-m", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "1,0.807805,0.000000,0.759582"
+    assert captured.err == ""
+    budget = postcap.cli.OptimizerConfig
+    monkeypatch.setattr(
+        postcap.cli, "OptimizerConfig", lambda **kw: budget(**{**kw, "max_iterations": 5})
+    )
+    monkeypatch.setitem(postcap.cli.TABLE1_REFERENCE, 2, (0.0, 0.5, 0.8325))
+    assert main(["table1", "--check", "--n", "4", "--max-m", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "check failed: m=2 upper-bound solve stopped at the iteration cap" in err
+    assert "check failed: m=2 scheme_rate 0.333333 vs 0.5" in err
+    assert "upper_bound" not in err
+
+
+@pytest.fixture
+def child_signal(monkeypatch):
+    """Two usable CPUs, and (wait, signal): wait() blocks the caller until a child has run signal()."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ready, done = os.pipe()
+
+    def wait():
+        assert select.select([ready], [], [], 30.0)[0], "no child claimed an item"
+
+    yield wait, lambda: os.write(done, b"x")
+    os.close(ready)
+    os.close(done)
+
+
+def _in_parent_after_a_child(wait, signal):
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            signal()
+        elif item == 16:
+            wait()
+        return math.sqrt(item)
+
+    return fn
+
+
+def test_map_over_cpus_matches_the_serial_map(child_signal):
+    wait, signal = child_signal
+    items = [16, 9, 4, 1]
+    assert _map_over_cpus(_in_parent_after_a_child(wait, signal), items) == {m: math.sqrt(m) for m in items}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_over_cpus_raises_a_childs_exception_and_reaps_it(child_signal):
+    wait, signal = child_signal
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            signal()
+            raise LookupError(f"row {item} failed")
+        if item == 16:
+            wait()
+        return item
+
+    with pytest.raises(LookupError, match=r"^row (9|4) failed$"):
+        _map_over_cpus(fn, [16, 9, 4])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_over_cpus_with_one_cpu_never_forks(monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork expected")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _map_over_cpus(math.sqrt, [16, 9, 4]) == {16: 4.0, 9: 3.0, 4: 2.0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _map_over_cpus(math.sqrt, [16]) == {16: 4.0}
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ["oserror", "warning-after-fork"])
+def test_map_over_cpus_serves_the_rest_when_a_fork_fails(failure, child_signal, monkeypatch):
+    # Python >= 3.12 under -W error raises its fork-with-threads warning in
+    # the parent after the child exists: the child's results still come back
+    wait, signal = child_signal
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real_fork = os.fork
+
+    def fork():
+        if failure == "oserror":
+            raise OSError("fork failed")
+        if real_fork() == 0:
+            return 0
+        raise DeprecationWarning("This process is multi-threaded, use of fork() may lead to deadlocks")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fn = _in_parent_after_a_child(wait, signal) if failure != "oserror" else math.sqrt
+    items = [16, 9, 4, 1]
+    assert _map_over_cpus(fn, items) == {m: math.sqrt(m) for m in items}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_table1_prints_the_same_with_one_and_two_cpus(monkeypatch, capsys):
+    outs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert main(["table1", "--check", "--upper-bound-max-m", "16"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[5] == "16,1.386496,1.333333,1.536590"
 
 
 def test_verify_inequalities(capsys):
