@@ -429,22 +429,28 @@ class _LumpedChannel:
     every sequence of orbit X.  Nonzero t of A is values[t] at (rows[t],
     cols[t]), W(y | x) for the representative x of orbit cols[t] and one
     output y of orbit rows[t] (repeated pairs add); ent_X = sum_y W ln W.
-    Input and output orbits share one numbering, with sizes |O| and
-    log_sizes ln |O|.
+    The nonzeros are stored in input-orbit order, cols nondecreasing,
+    counts[X] of them for orbit X, so law.repeat(counts) is law[cols].
+    The size term is folded in at build: base_X = ent_X + sum_Y A[Y, X]
+    ln |O_Y|, so D_X = base_X - sum_Y A[Y, X] ln Q_Y.  Input orbits are
+    numbered by the rank of their code, with sizes |O|; rows numbers only
+    the orbits some nonzero reaches, by the rank of their code among
+    those, with log_sizes ln |O_Y|.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    counts: np.ndarray
     values: np.ndarray
-    ent: np.ndarray
+    base: np.ndarray
     sizes: np.ndarray
     log_sizes: np.ndarray
 
     def divergences(self, law):
-        """D_X in nats for the orbit masses law; outputs with Q = 0 take ln(Q / |O|) = 0."""
-        q = np.bincount(self.rows, self.values * law[self.cols], minlength=len(self.sizes))
-        ln_q = np.log(q, where=q > 0, out=self.log_sizes.copy()) - self.log_sizes
-        return self.ent - np.bincount(self.cols, self.values * ln_q[self.rows], minlength=len(self.sizes))
+        """D_X in nats for the orbit masses law; outputs with Q = 0 take ln Q = ln |O|, a zero term."""
+        q = np.bincount(self.rows, self.values * law.repeat(self.counts), minlength=len(self.log_sizes))
+        ln_q = np.log(q, where=q > 0, out=self.log_sizes.copy())
+        return self.base - np.bincount(self.cols, self.values * ln_q[self.rows], minlength=len(self.sizes))
 
 
 def _lumped_channel(spec, n, s0):
@@ -458,7 +464,7 @@ def _lumped_channel(spec, n, s0):
     _canonical_digits reads off it.  Choices list fixed symbols first,
     then labels, so code order is the representatives' lexicographic
     order; every representative is the input of some pair, so ranking
-    the input codes numbers the orbits and places each output code.
+    the input codes numbers the orbits and finds each output's size.
     """
     core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
     size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
@@ -488,16 +494,30 @@ def _lumped_channel(spec, n, s0):
         del parent, t  # before the walk's temporaries
         ycode = ycode * (n_fixed + most) + _canonical_digits(k, seen, d, fixed_index)
     del k, seen, d
-    codes, first, cols = np.unique(xcode, return_index=True, return_inverse=True)
-    rows = np.searchsorted(codes, ycode)
-    sizes = falling[here[first] // size]
+    # number the orbits by the rank of their input code, nonzeros in that order
+    order = np.argsort(xcode, kind="stable")
+    xcode = xcode[order]
+    first = np.empty(len(xcode), bool)
+    first[0], first[1:] = True, xcode[1:] != xcode[:-1]
+    codes, sizes = xcode[first], falling[here[order[first]] // size]
+    del xcode, here  # before the channel's arrays
+    cols = np.cumsum(first)
+    cols -= 1
+    rows = np.searchsorted(codes, ycode[order])
+    prob = prob[order]
+    # renumber the outputs among the orbits some nonzero reaches
+    reached = np.zeros(len(sizes), bool)
+    reached[rows] = True
+    rows = (np.cumsum(reached) - 1)[rows]
+    log_sizes = np.log(sizes[reached])
     return _LumpedChannel(
         rows,
         cols,
+        np.bincount(cols),
         prob,
-        np.bincount(cols, prob * np.log(prob), minlength=len(sizes)),
+        np.bincount(cols, prob * (np.log(prob) + log_sizes[rows]), minlength=len(sizes)),
         sizes,
-        np.log(sizes),
+        log_sizes,
     )
 
 

@@ -9,11 +9,16 @@ maximizes over plain input pmfs matrix-free, one channel position at a
 time for q = W p and for the divergences of W from q.  upper_bound runs
 the same loop on input orbits where the channel has free labels
 (MaryPost): I(X^n; Y^n | s0) is concave and invariant under relabelling
-them, so it iterates on orbit masses through one sparse lumped channel,
-two np.bincount products per pass, and never forms a per-sequence pmf.
-Both solvers run the same Blahut-Arimoto update; the open-loop loop
-over-relaxes it (Matz & Duhamel, ITW 2004) and falls back to the plain
-step whenever an over-relaxed one lowers the objective.  The open-loop
+them, so it iterates on orbit masses through one sparse lumped channel
+and never forms a per-sequence pmf.  The lumped channel keeps its
+nonzeros in input-orbit order and the orbit sizes folded into its
+entropy term, so a pass is one np.repeat of the law, two np.bincount
+products and one log.  Both solvers run the same Blahut-Arimoto update,
+p exp(D - max D) renormalized; the open-loop loop over-relaxes it (Matz
+& Duhamel, ITW 2004) and falls back to the plain step whenever an
+over-relaxed one lowers the objective.  A feedback stage on a square
+invertible matrix starts from its closed-form stationary point (Muroga,
+1953), which, when it is a law, is the stage's optimum.  The open-loop
 loop yields its kept iterates, so upper_bound races its start states and
 drops each one whose Arimoto bound falls below the best value kept.
 
@@ -36,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    SINGULAR_DET,
     _channel_steps,
     _check_causal_kernel,
     _check_lumped_size,
@@ -54,10 +60,6 @@ from .probability import LN2, CausalKernel, SequencePmf, compose_causal
 
 # Input-kernel entries above this count as supported in the certificate.
 SUPPORT_THRESHOLD = 1e-8
-
-# Stand-in for log(0) in the Blahut-Arimoto update; large enough to
-# zero the input, small enough to avoid inf - inf.
-LOG_ZERO = -1e3
 
 # Arimoto gaps (nats) of a feedback stage problem: Blahut-Arimoto down to
 # BA_GAP, Newton steps down to STAGE_GAP.  A looser STAGE_GAP leaves a zero
@@ -245,16 +247,14 @@ def kkt_check(input_kernel: CausalKernel, spec, n, s0, tol=1e-6) -> KktReport:
 
 
 def _ba_step(p, divergences):
-    """One Blahut-Arimoto update p <- p exp(divergences) / Z, in the log domain.
+    """One Blahut-Arimoto update p <- p exp(divergences) / Z.
 
-    log Z is logsumexp's, shifted by the maximum unless that is not finite.
+    The exponent is shifted by the largest divergence, so it is at most 0
+    and a zero mass stays 0.
     """
-    log_p = np.log(p, where=p > 0, out=np.full_like(p, LOG_ZERO))
-    log_p += divergences
-    top = float(log_p.max())
-    top = top if math.isfinite(top) else 0.0
-    log_p -= np.log(np.exp(log_p - top).sum()) + top
-    return np.exp(log_p, out=log_p)
+    w = np.exp(divergences - divergences.max())
+    w *= p
+    return w / w.sum()
 
 
 def _newton_step(mat, p, q, d, value):
@@ -272,7 +272,11 @@ def _newton_step(mat, p, q, d, value):
         face[d.argmax()] = True
     live, k = mat[q > 0][:, face], face.sum()
     hess = (live / q[q > 0, None]).T @ live
-    system = np.block([[hess + 1e-10 * hess.max() * np.eye(k), np.ones((k, 1))], [np.ones(k), 0.0]])
+    system = np.empty((k + 1, k + 1))
+    system[:k, :k] = hess
+    system.flat[: k * (k + 2) : k + 2] += 1e-10 * hess.max()
+    system[k, :k] = system[:k, k] = 1.0
+    system[k, k] = 0.0
     step = np.zeros_like(p)
     step[face] = np.linalg.solve(system, np.append(d[face], 0.0))[:-1]
     reach = (mat > 0) & (p > 0)
@@ -285,19 +289,42 @@ def _newton_step(mat, p, q, d, value):
     return p / p.sum()
 
 
-def _stage_law(mat, bonus, max_iterations, start=None):
+def _stage_inverse(mat):
+    """W^-1 of a square stage matrix W with |det W| > SINGULAR_DET, else None."""
+    if mat.shape[0] != mat.shape[1] or abs(np.linalg.det(mat)) <= SINGULAR_DET:
+        return None
+    return np.linalg.inv(mat)
+
+
+def _stage_law(mat, bonus, max_iterations, start=None, inverse=None):
     """Input law maximizing sum_x p(x) [D(W(.|x) || W p) + bonus(x)], and the maximum (nats).
 
     mat is W, rows y.  From the uniform law, Blahut-Arimoto runs until the
     Arimoto gap first falls to BA_GAP; Newton steps, which alone readmit a
     dropped input, then take it to STAGE_GAP.  Given a start law, Newton
     steps run from it at once: a start may hold inputs at exactly 0 that
-    this problem needs, and Blahut-Arimoto never moves a zero.  Every
-    evaluation counts against max_iterations.  Returns the last law
-    evaluated, its value and its divergences plus bonus d, so the value
-    is always the law's own.
+    this problem needs, and Blahut-Arimoto never moves a zero.
+
+    Given inverse = W^-1 of a square W, the start is instead the
+    problem's stationary point, when it is a law (Muroga, J. Phys. Soc.
+    Japan 8(4), 1953).  With ent(x) = sum_y W ln W, a law with every
+    input at one value lambda solves W^T ln q = ent + bonus - lambda 1;
+    the columns of W sum to 1, so W^-T 1 = 1 and ln q = z - lambda with
+    z = W^-T (ent + bonus): q = softmax z and p = W^-1 q, used when
+    p >= 0 and rescaled to sum to 1 against rounding.  Such a law is the
+    maximum, and Newton steps start from it.
+
+    Every evaluation counts against max_iterations, and only the
+    evaluation certifies.  Returns the last law evaluated, its value and
+    its divergences plus bonus d, so the value is always the law's own.
     """
     ent = (mat * np.log(mat, where=mat > 0, out=np.zeros_like(mat))).sum(axis=0)
+    if inverse is not None:
+        z = (ent + bonus) @ inverse
+        q = np.exp(z - z.max())
+        stationary = inverse @ q
+        if stationary.min() >= 0.0:
+            start = stationary / stationary.sum()
     newton = start is not None
     p = start if newton else np.full(mat.shape[1], 1.0 / mat.shape[1])
     for _ in range(max_iterations):
@@ -326,7 +353,12 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     policy as r grows, so the first stage starts from the uniform law and
     each later one starts Newton steps from the previous stage's law of
     its class (see _stage_law: Blahut-Arimoto could not readmit an input
-    that law holds at 0).
+    that law holds at 0).  A class whose matrix is square with |det| >
+    SINGULAR_DET is inverted once per solve, and each of its stages
+    starts instead from the stage's closed-form stationary point when
+    that is a law (see _stage_law).  A stage whose optimal law gives
+    every input positive mass, as every PostAlpha and PostAB stage tried
+    does, then certifies at its first evaluation.
 
     The report's upper side is, with U_0 = 0,
     U_r(s) = max_x [D(W_s(.|x) || W_s p_r) + sum_y W_s(y|x) U_(r-1)(y)].
@@ -350,9 +382,11 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     # per state: lower is L_r, gap is U_r - L_r
     lower, gap, laws, support = np.zeros(len(classes)), np.zeros(len(classes)), [], 0.0
     solved = dict.fromkeys(mats, (None,))
+    inverses = {c: _stage_inverse(w) for c, w in mats.items()}
     for _ in range(n):
         solved = {
-            c: _stage_law(w, lower @ w, cfg.max_iterations, solved[c][0]) for c, w in mats.items()
+            c: _stage_law(w, lower @ w, cfg.max_iterations, solved[c][0], inverses[c])
+            for c, w in mats.items()
         }
         gaps = {c: max(0.0, float((d + gap @ mats[c]).max()) - v) for c, (_, v, d) in solved.items()}
         support = max(support, *(v - float(d[p > 0].min()) for p, v, d in solved.values()))

@@ -277,26 +277,41 @@ def test_criterion_8_property_suites():
 # -- criterion 9: oracle equivalence on small instances -------------------------
 
 
-def _mi_simplex_grid_max(chan, steps):
-    """Exhaustive open-loop search: every pmf on the 1/steps grid."""
+def _mi_simplex_grid_max(chan, steps, block=64):
+    """Exhaustive open-loop search: every pmf on the 1/steps grid.
+
+    p = (k1, k2, k3, k4) / steps with k4 = steps - k1 - k2 - k3, so within
+    one k1 slice both sum_x p(x) cst(x) and each q(y) are a k2 term plus a
+    k3 term.  Blocks of k2 rows are broadcast against the k3 columns the
+    block's first row reaches, and the block's points past the simplex
+    (k2 + k3 > steps - k1, in its last columns) are masked out.
+    """
     pos = chan > 0
     cst = np.where(pos, chan * np.log2(chan, where=pos, out=np.zeros_like(chan)), 0.0).sum(axis=0)
-    scale = 1.0 / steps
+    # row 0 weighs the inputs for the cst term, row 1 + y for q(y)
+    weights = np.vstack([cst, chan]) / steps
+    counts = np.arange(steps + 1.0)
+    q, term = np.empty((block, steps + 1)), np.empty((block, steps + 1))
     best = -math.inf
     for k1 in range(steps + 1):
         r1 = steps - k1
-        counts = np.arange(r1 + 1)
-        k2 = np.repeat(counts, counts[::-1] + 1)
-        k3 = np.concatenate([np.arange(r1 - v + 1) for v in counts])
-        p = np.empty((k2.size, 4))
-        p[:, 0] = k1 * scale
-        p[:, 1] = k2 * scale
-        p[:, 2] = k3 * scale
-        p[:, 3] = 1.0 - p[:, :3].sum(axis=1)
-        q = p @ chan.T
-        mask = q > 0
-        ent = -(q * np.log2(q, where=mask, out=np.zeros_like(q))).sum(axis=1)
-        best = max(best, float((p @ cst + ent).max()))
+        base = k1 * weights[:, 0] + r1 * weights[:, 3]
+        for lo in range(0, r1 + 1, block):
+            k2 = counts[lo : min(lo + block, r1 + 1)]
+            k3 = counts[: r1 + 1 - lo]
+            rows = base[:, None] + np.outer(weights[:, 1] - weights[:, 3], k2)
+            cols = np.outer(weights[:, 2] - weights[:, 3], k3)
+            total = np.add.outer(rows[0], cols[0])
+            qv, tv = q[: len(k2), : len(k3)], term[: len(k2), : len(k3)]
+            for r, c in zip(rows[1:], cols[1:]):
+                # q may round below 0 where it is 0; 1e-300 log2 1e-300 is 0 here
+                np.maximum(np.add.outer(r, c, out=qv), 1e-300, out=qv)
+                np.log2(qv, out=tv)
+                tv *= qv
+                total -= tv
+            tail = total[:, -len(k2) :]
+            tail[k2[:, None] + k3[-len(k2) :] > r1] = -math.inf
+            best = max(best, float(total.max()))
     return best
 
 

@@ -244,6 +244,18 @@ def test_lumped_divergences_match_channel_passes(m):
             assert np.abs(lumped.divergences(masses)[orbits] - want).max() < 1e-12
 
 
+def test_lumped_channel_stores_nonzeros_in_input_orbit_order():
+    # a pass reads law[cols] as law.repeat(counts), and base folds the size term in
+    for m, n, s0 in ((2, 3, 0), (4, 6, 0), (4, 6, 4), (8, 7, 8)):
+        lumped = _lumped_channel(MaryPost(m), n, s0)
+        assert (np.diff(lumped.cols) >= 0).all()
+        assert lumped.counts.sum() == len(lumped.values) == len(lumped.rows)
+        assert np.array_equal(np.repeat(np.arange(len(lumped.counts)), lumped.counts), lumped.cols)
+        ent = np.bincount(lumped.cols, lumped.values * np.log(lumped.values))
+        sizes = np.bincount(lumped.cols, lumped.values * lumped.log_sizes[lumped.rows])
+        assert np.abs(lumped.base - ent - sizes).max() < 1e-12
+
+
 def test_lumped_channel_counts_at_n6():
     # the orbits and nonzeros do not depend on m once m - 1 >= n free labels exist
     for m, n, s0, orbits, nonzeros in (

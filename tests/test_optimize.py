@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from pytest import approx
@@ -36,10 +36,9 @@ from postcap import (
 from postcap import channels, optimize
 from postcap.channels import SingularChannelError
 from postcap.construction import _input_levels
-from postcap.optimize import LOG_ZERO
 from postcap.probability import LN2
 
-from channel_cases import PASS_SPECS, STAGE_EDGE_CASES
+from channel_cases import PASS_SPECS, STAGE_EDGE_CASES, TWO_INPUT_CUSTOM
 from dense_reference import feedback_policy, open_loop_kernel, output_state_policy, validate_causal
 
 TIGHT = OptimizerConfig(max_iterations=20000, kkt_tolerance=1e-7)
@@ -98,8 +97,9 @@ def test_random_restarts_agree():
 
 
 def test_solver_reports_nonconvergence():
+    # MaryPost's state m has a singular matrix, so its stages iterate
     cfg = OptimizerConfig(max_iterations=3, kkt_tolerance=1e-12)
-    _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
+    _, _, report = maximize_di_feedback(MaryPost(2), 3, 0, cfg)
     assert not report.passed
 
 
@@ -125,7 +125,8 @@ def test_solver_report_is_certificate_of_its_kernel():
         (PostAlpha(0.3), 4, 0, TIGHT),
         (PostAB(0.9, 0.7), 4, 1, TIGHT),
         (MaryPost(3), 2, 0, random),
-        (PostAlpha(0.5), 3, 0, budget),
+        # a budget stop needs a stage that iterates: MaryPost's state m is singular
+        (MaryPost(2), 3, 0, budget),
         # an optimal input weight of zero with a zero derivative (MaryPost(4),
         # every state) and the slow strip a + b - 1 < 0.15 certify too
         *((MaryPost(4), n, s0, TIGHT) for n in (1, 2, 3) for s0 in range(5)),
@@ -154,14 +155,16 @@ def test_solver_upper_bound_holds_for_random_kernels():
     # upper_bits bounds the directed information of every causal kernel,
     # and a budget stop's wide interval still holds the optimum
     rng = np.random.default_rng(31)
-    for spec, n in ((PostAB(0.9, 0.7), 4), (MaryPost(3), 2)):
+    # a budget stop needs a stage that iterates: PostAB's stages certify at
+    # their first evaluation, MaryPost's singular state m iterates
+    for spec, n, budgets in ((PostAB(0.9, 0.7), 4, ()), (MaryPost(3), 3, (1, 2))):
         x, y = channels.input_alphabet(spec), channels.output_alphabet(spec)
         _, _, report = maximize_di_feedback(spec, n, 0, TIGHT)
         chan = build_sequence_kernel(spec, n, 0).kernel
         for _ in range(20):
             kin = compose_causal(random_policy(x, y, n, 1, rng))
             assert directed_information(kin, chan) <= report.upper_bits
-        for budget in (1, 2):
+        for budget in budgets:
             _, _, stopped = maximize_di_feedback(spec, n, 0, OptimizerConfig(max_iterations=budget))
             assert not stopped.passed
             assert stopped.lower_bits <= report.lower_bits + 1e-12
@@ -227,19 +230,73 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
     return np.array(stages), directed_information(kernel, channel)
 
 
+def _iterative_solve(monkeypatch, spec, n, s0):
+    """maximize_di_feedback(spec, n, s0, TIGHT) with no stage started from its closed form."""
+    monkeypatch.setattr(optimize, "_stage_inverse", lambda mat: None)
+    solve = maximize_di_feedback(spec, n, s0, TIGHT)
+    monkeypatch.undo()
+    return solve
+
+
+def _counted_solve(monkeypatch, spec, n, s0):
+    """maximize_di_feedback(spec, n, s0, TIGHT) and the number of Blahut-Arimoto and Newton steps it took."""
+    steps, ba, newton = [], optimize._ba_step, optimize._newton_step
+    monkeypatch.setattr(optimize, "_ba_step", lambda *args: steps.append(1) or ba(*args))
+    monkeypatch.setattr(optimize, "_newton_step", lambda *args: steps.append(1) or newton(*args))
+    solve = maximize_di_feedback(spec, n, s0, TIGHT)
+    monkeypatch.undo()
+    return solve, len(steps)
+
+
+@pytest.mark.parametrize(
+    "spec, n, s0",
+    [
+        (PostAlpha(0.3), 4, 0),
+        (PostAlpha(0.5), 3, 0),
+        (PostAB(0.9, 0.7), 4, 1),
+        (PostAB(0.6, 0.5), 8, 0),
+        (PostAB(0.6685, 0.4321), 3, 0),
+        (PostAB(0.6685, 0.4321), 3, 1),
+        (PostAB(0.3, 0.9), 5, 0),
+        # |det W_s| = 1e-4: above SINGULAR_DET, the closed form still holds
+        (PostAB(0.5, 0.5001), 4, 0),
+    ],
+)
+def test_binary_stages_certify_at_their_closed_form(spec, n, s0, monkeypatch):
+    # every stage certifies at its first evaluation: no step is taken
+    (_, value, report), steps = _counted_solve(monkeypatch, spec, n, s0)
+    assert steps == 0
+    assert report.passed
+    assert 0.0 <= report.max_violation_support <= optimize.STAGE_GAP
+    _, want, want_report = _iterative_solve(monkeypatch, spec, n, s0)
+    assert abs(value - want) <= 1e-12
+    assert abs(report.upper_bits - want_report.upper_bits) <= 1e-12
+
+
+def test_stages_below_the_det_guard_iterate(monkeypatch):
+    # |det W_s| = 1e-10 <= SINGULAR_DET: no closed form, the stages iterate as before
+    spec = PostAlpha(1.0 - 1e-10)
+    assert all(optimize._stage_inverse(w) is None for w in spec.class_matrices.values())
+    (_, value, report), steps = _counted_solve(monkeypatch, spec, 4, 0)
+    assert steps > 0
+    assert report.passed
+    assert value == _iterative_solve(monkeypatch, spec, 4, 0)[1]
+
+
 def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
-    # the oracle starts every stage from the uniform law: Blahut-Arimoto, then Newton
+    # the oracle starts every stage from the uniform law: Blahut-Arimoto, then
+    # Newton; the solver starts square invertible stages from their closed form
     cold, calls = optimize._stage_law, []
 
-    def recording(mat, bonus, max_iterations, start=None):
-        law, value, d = cold(mat, bonus, max_iterations, start)
+    def recording(mat, bonus, max_iterations, start=None, inverse=None):
+        law, value, d = cold(mat, bonus, max_iterations, start, inverse)
         calls.append((start is not None, value))
         return law, value, d
 
     monkeypatch.setattr(optimize, "_stage_law", recording)
     rng = np.random.default_rng(2)
     cases = [(_random_custom(rng), 6, 0) for _ in range(300)]
-    cases += [(MaryPost(4), 3, s0) for s0 in range(5)]
+    cases += [(MaryPost(4), 3, s0) for s0 in range(5)] + STAGE_EDGE_CASES
     for spec, n, s0 in cases:
         calls.clear()
         _, value, report = maximize_di_feedback(spec, n, s0, TIGHT)
@@ -410,6 +467,39 @@ def test_open_loop_solver_value_matches_plain_ba(spec, horizons):
             assert abs(value - want) <= cfg.kkt_tolerance / math.log(2.0)
 
 
+def test_lumped_solver_pass_count(monkeypatch):
+    # the race makes 8 passes from s0 = 0 and 872 from s0 = 4, the winner
+    calls = []
+    divergences = channels._LumpedChannel.divergences
+    monkeypatch.setattr(
+        channels._LumpedChannel, "divergences", lambda self, law: calls.append(1) or divergences(self, law)
+    )
+    upper_bound(MaryPost(4), 6, OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7))
+    assert len(calls) <= 900
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_ba_step_keeps_zeros_and_matches_the_log_domain_update(data):
+    size = data.draw(st.integers(1, 16))
+    p = data.draw(arrays(np.float64, size, elements=st.just(0.0) | st.floats(1e-3, 1.0)))
+    assume(p.any())
+    d = data.draw(arrays(np.float64, size, elements=st.floats(0.0, 10.0)))
+    mu = data.draw(st.integers(1, 64))
+    out = optimize._ba_step(p, mu * d)
+    assert (out[p == 0] == 0.0).all()
+    assert (out[p > 0] > 0.0).all()
+    assert abs(math.fsum(out) - 1.0) <= 1e-15
+    # the log-domain update p exp(mu d) / Z rounds its exponent, log p + mu d - ln Z,
+    # to a few ulp of its terms' size, which exp turns into a relative error;
+    # both normalizing sums add up to size ulp
+    live = p > 0
+    exponent = np.log(p[live]) + mu * d[live]
+    want = np.exp(exponent - optimize.logsumexp(exponent))
+    scale = size + np.abs(np.log(p[live])) + 2.0 * mu * d.max()
+    assert (np.abs(out[live] - want) <= 4.0 * np.finfo(float).eps * scale * want).all()
+
+
 def test_open_loop_solver_iteration_count(monkeypatch):
     # plain Blahut-Arimoto makes 5,668 updates here; the race makes 554,
     # almost all of them the winning state's
@@ -454,7 +544,8 @@ def test_budget_stop_is_a_returned_residual_not_a_warning():
         warnings.simplefilter("error")
         solves = [maximize_mi_nofeedback(spec, 6, s0, cfg) for s0 in channels.initial_states(spec)]
         value, width = upper_bound(spec, 6, cfg)
-        _, _, report = maximize_di_feedback(PostAlpha(0.5), 3, 0, cfg)
+        # its stage matrices are not square, so every stage iterates
+        _, _, report = maximize_di_feedback(TWO_INPUT_CUSTOM, 3, 0, cfg)
     assert min(residual for _, _, residual in solves) > cfg.kkt_tolerance
     # the width is the largest last divergence over states minus the best
     # last value; the losing state, dropped after 2 of its 4 kept iterates,
@@ -690,12 +781,12 @@ def test_logsumexp_matches_direct_sum():
 
 
 def test_logsumexp_extreme_entries():
-    a = np.array([[1000.0, 1000.0, -1000.0], [-1000.0, -1000.0, 0.0], [LOG_ZERO] * 3])
+    a = np.array([[1000.0, 1000.0, -1000.0], [-1000.0, -1000.0, 0.0], [-1e3] * 3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = optimize.logsumexp(a, axis=1)
         total = optimize.logsumexp(a)
-    want = [1000.0 + math.log(2.0), math.log1p(2.0 * math.exp(-1000.0)), LOG_ZERO + math.log(3.0)]
+    want = [1000.0 + math.log(2.0), math.log1p(2.0 * math.exp(-1000.0)), -1e3 + math.log(3.0)]
     assert np.isfinite(out).all()
     assert out == approx(want, rel=1e-15)
     assert total == approx(1000.0 + math.log(2.0), rel=1e-15)
