@@ -234,12 +234,22 @@ def _vector_levels(coeffs, n):
 
 
 def _vector_level_row(coeffs, n, s):
-    """Row s of level n of _vector_levels(coeffs, n), alone: coeffs[s] @ level n - 1."""
-    _check_entries("vector", coeffs.shape[1] ** n)  # level n's guard, before the first product
+    """Row s of level n of _vector_levels(coeffs, n), alone: coeffs[s] @ level n - 1.
+
+    The row is a read-only array that owns its data.
+    """
+    r = coeffs.shape[1]
+    _check_entries("vector", r**n)  # level n's guard, before the first product
+    if not n:
+        return _freeze(np.ones(1))
+    # allocated before the levels, so that freeing them leaves no hole
+    # below the row in the heap, which would raise the peak RSS
+    row = np.empty(r**n)
     levels = np.ones((len(coeffs), 1))
     for levels in _vector_levels(coeffs, n - 1):
         pass
-    return (coeffs[s] @ levels).reshape(-1) if n else levels[s]
+    np.matmul(coeffs[s], levels, out=row.reshape(r, -1))
+    return _freeze(row)
 
 
 def _check_start(spec, n, s0):
@@ -453,7 +463,7 @@ class _LumpedChannel:
         return self.base - np.bincount(self.cols, self.values * ln_q[self.rows], minlength=len(self.sizes))
 
 
-def _lumped_channel(spec, n, s0):
+def _lumped_channel(spec, n, s0, checked=None):
     """The _LumpedChannel of (spec, n, s0), built position by position after _check_lumped_size.
 
     Each (representative prefix, output prefix) pair with positive
@@ -465,8 +475,10 @@ def _lumped_channel(spec, n, s0):
     then labels, so code order is the representatives' lexicographic
     order; every representative is the input of some pair, so ranking
     the input codes numbers the orbits and finds each output's size.
+    checked is what _check_lumped_size(spec, n, s0) returned, if the
+    caller has run it; otherwise it is run here.
     """
-    core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
+    core, start, fixed, (key, choice, out, weight, new) = checked or _check_lumped_size(spec, n, s0)
     size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
     out = out.astype(np.int16)
     count = np.bincount(key, minlength=(most + 1) * size)

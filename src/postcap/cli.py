@@ -237,12 +237,12 @@ def _table1_rows(args, cfg):
         ms.append(m)
         m *= 2
     bounded = [m for m in ms if m <= args.upper_bound_max_m]
-    # the largest m raises here if it is too large, before any row is solved
+    # the largest m raises here if it is too large, before any row is
+    # solved; its size check is handed to its solve
     _check_entries("stationary law", max(ms, default=0) + 1)
-    if bounded:
-        _check_upper_bound_size(MaryPost(bounded[-1]), args.n)
+    checked = {bounded[-1]: _check_upper_bound_size(MaryPost(bounded[-1]), args.n)} if bounded else {}
 
-    bounds = _map_over_cpus(lambda m: upper_bound(MaryPost(m), args.n, cfg), bounded[::-1])
+    bounds = _map_over_cpus(lambda m: upper_bound(MaryPost(m), args.n, cfg, checked.get(m)), bounded[::-1])
     return [
         (m, *bounds.get(m, (None, None)), mary_scheme_rate(m), mary_feedback_capacity(m).capacity_bits)
         for m in ms

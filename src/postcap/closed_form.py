@@ -9,7 +9,7 @@ spec, so callers need not branch on its family.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,9 @@ def _alpha_powers(alpha):
     return math.exp(alpha * log_a / (1.0 - alpha)), math.exp(log_a / (1.0 - alpha))
 
 
-@dataclass(frozen=True)
-class PostAlphaSolution:
+# The solutions are tuples: building one costs a third of a frozen
+# dataclass's, and sweep ab builds one per grid point.
+class PostAlphaSolution(NamedTuple):
     alpha: float
     c: float
     capacity_bits: float
@@ -39,8 +40,7 @@ class PostAlphaSolution:
     output_markov_transition: float
 
 
-@dataclass(frozen=True)
-class PostABSolution:
+class PostABSolution(NamedTuple):
     a: float
     b: float
     capacity_bits: float
@@ -55,8 +55,7 @@ class PostABSolution:
         return self.output_pmf[1]
 
 
-@dataclass(frozen=True)
-class MaryFeedbackSolution:
+class MaryFeedbackSolution(NamedTuple):
     m: int
     gamma_star: float
     delta_star: float

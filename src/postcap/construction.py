@@ -1,10 +1,11 @@
 """Recursive constructions and their supporting feasibility checks.
 
-The symmetric-Markov output pmf q_s and the open-loop inputs
-p_s = W_s^-1 q_s of the binary families come from the channels' block
-recursion on vectors: q_s with coefficients diag T_s, p_s with
+The open-loop inputs p_s = W_s^-1 q_s of the binary families come from
+the channels' block recursion on vectors with coefficients
 P_s^-1 diag T_s, where T is the output chain and P_s the channel from
-state s.  Nonnegativity of the inputs is certified by locating a
+state s.  The symmetric-Markov output pmf q_s, the recursion with
+coefficients diag T_s, is built in place with the same products.
+Nonnegativity of the inputs is certified by locating a
 multiplier beta inside a set of closed intervals, and the inequalities
 backing those intervals are swept numerically on parameter grids.
 """
@@ -18,7 +19,11 @@ import numpy as np
 from .channels import PostAB, PostAlpha, _check_entries, _check_start
 from .channels import _inverse_class_matrices, _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
-from .probability import SequencePmf, StepPolicy, binary_entropy
+from .probability import SequencePmf, StepPolicy, _freeze, binary_entropy
+
+
+# Entries per block of induction_step_check's buffer, 128 KiB.
+CHECK_BLOCK = 2**14
 
 
 def _output_chain(delta):
@@ -27,13 +32,27 @@ def _output_chain(delta):
 
 
 def output_markov_pmf(delta, n, s0) -> SequencePmf:
-    """Pmf of n steps of the symmetric binary Markov chain started at s0."""
+    """Pmf of n steps of the symmetric binary Markov chain started at s0.
+
+    Built in place in one 2^n row: from s0 = 0, level l is (1 - delta)
+    times level l - 1 followed by delta times level l - 1 reversed, the
+    row from state 1 at level l - 1, as flipping every symbol reverses
+    the index.  These are the products of the vector recursion with
+    coefficients diag T_s, so the bits are the same.  From s0 = 1 the
+    row is the s0 = 0 row reversed, built from the back.
+    """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     if s0 not in (0, 1):
         raise ValueError("s0 must be 0 or 1")
-    coeffs = np.array([np.diag(column) for column in _output_chain(delta).T])
-    return SequencePmf(2, n, _vector_level_row(coeffs, n, s0))
+    _check_entries("vector", 2**n)
+    row = np.empty(2**n)
+    grown = row if s0 == 0 else row[::-1]
+    grown[0] = 1.0
+    for h in (2**l for l in range(n)):
+        np.multiply(grown[h - 1 :: -1], delta, out=grown[h : 2 * h])
+        grown[:h] *= 1.0 - delta
+    return SequencePmf(2, n, _freeze(row))
 
 
 def _input_coeffs(spec):
@@ -178,10 +197,22 @@ def beta_intervals_ab(a, b) -> IntervalSet:
 
 
 def induction_step_check(spec, beta, n, slack=1e-12) -> bool:
-    """Entrywise beta-domination between the two input chains up to level n."""
-    for p0, p1 in _input_levels(spec, n):
-        if (beta * p1 - p0).min() < -slack or (beta * p0 - p1).min() < -slack:
-            return False
+    """Entrywise beta-domination between the two input chains up to level n.
+
+    Both checks, beta p1 - p0 and beta p0 - p1, are written in turn into
+    one buffer of CHECK_BLOCK entries, block by block along each level.
+    The buffer stays in cache; level-sized temporaries would each cost a
+    fresh allocation and its page faults.
+    """
+    margin = np.empty(min(2**n, CHECK_BLOCK))
+    for level in _input_levels(spec, n):
+        for start in range(0, level.shape[1], CHECK_BLOCK):
+            p0, p1 = level[:, start : start + CHECK_BLOCK]
+            out = margin[: len(p0)]
+            for this, other in ((p0, p1), (p1, p0)):
+                np.multiply(beta, other, out=out)
+                if np.subtract(out, this, out=out).min() < -slack:
+                    return False
     return True
 
 

@@ -56,7 +56,7 @@ from .channels import (
 from .closed_form import closed_form_solution
 from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
 from .directed_info import mutual_information_given_state
-from .probability import LN2, CausalKernel, SequencePmf, compose_causal
+from .probability import LN2, CausalKernel, SequencePmf, _freeze, compose_causal
 
 # Input-kernel entries above this count as supported in the certificate.
 SUPPORT_THRESHOLD = 1e-8
@@ -443,11 +443,13 @@ def _start_law(weights, cfg):
 def _open_loop_iterates(spec, n, s0, cfg, lumped):
     """_over_relaxed_ba of I(X^n; Y^n | s0) on sequence pmfs, or on the lumped channel's orbit masses.
 
-    The start is the uniform sequence law (orbit masses proportional to
-    the orbit sizes), times seeded draws under cfg.initialization "random".
+    lumped is None for sequence pmfs, else the return of
+    _check_lumped_size(spec, n, s0).  The start is the uniform sequence
+    law (orbit masses proportional to the orbit sizes), times seeded
+    draws under cfg.initialization "random".
     """
-    if lumped:
-        channel = _lumped_channel(spec, n, s0)
+    if lumped is not None:
+        channel = _lumped_channel(spec, n, s0, lumped)
         return _over_relaxed_ba(channel.divergences, _start_law(channel.sizes, cfg), cfg)
     steps, ent = _channel_steps(spec, n, s0)
     p = _start_law(np.ones(steps.shape[2] ** n), cfg)
@@ -466,19 +468,22 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     T-IT 18(1), 1972).
     """
     cfg = cfg or OptimizerConfig()
-    for pmf, value, top in _open_loop_iterates(spec, n, s0, cfg, lumped=False):
+    for pmf, value, top in _open_loop_iterates(spec, n, s0, cfg, lumped=None):
         pass
     return SequencePmf(input_alphabet(spec), n, pmf), value / LN2, top - value
 
 
 def _check_upper_bound_size(spec, n):
-    """Raise ValueError, allocating little, unless every solve of upper_bound(spec, n) fits."""
+    """Raise ValueError, allocating little, unless every solve of upper_bound(spec, n) fits.
+
+    Returns, per initial state, _check_lumped_size's return for a spec
+    with free labels, else None.
+    """
     check = _check_lumped_size if spec.free_labels else _check_pass_size
-    for s0 in initial_states(spec):
-        check(spec, n, s0)
+    return {s0: check(spec, n, s0) for s0 in initial_states(spec)}
 
 
-def upper_bound(spec, n, cfg: OptimizerConfig = None):
+def upper_bound(spec, n, cfg: OptimizerConfig = None, checked=None):
     """(best per-use mutual information over initial states in bits, width of its proven interval in nats).
 
     Each initial state's solve is maximize_mi_nofeedback's, except that
@@ -497,9 +502,13 @@ def upper_bound(spec, n, cfg: OptimizerConfig = None):
     value is that of every solve run to the end.  The width is the
     largest last divergence over states minus the best value: the
     maximum is proven within value + width / (n ln 2) bits per use.
+    Every solve's size is checked before the first starts, unless the
+    caller passes what _check_upper_bound_size(spec, n) returned as
+    checked.
     """
     cfg = cfg or OptimizerConfig()
-    running = {s0: _open_loop_iterates(spec, n, s0, cfg, spec.free_labels) for s0 in initial_states(spec)}
+    checked = checked or _check_upper_bound_size(spec, n)
+    running = {s0: _open_loop_iterates(spec, n, s0, cfg, lumped) for s0, lumped in checked.items()}
     last = {}  # per state, (value, top) of its last kept iterate
     while running:
         for s0, iterates in list(running.items()):
@@ -535,7 +544,9 @@ def open_loop_match(spec, n, s0) -> MatchReport:
     min_entry = float(raw.min())
     total = float(raw.sum())
 
-    pmf = SequencePmf(2, n, np.maximum(raw, 0.0) / total)
+    clipped = np.maximum(raw, 0.0)
+    clipped /= total
+    pmf = SequencePmf(2, n, _freeze(clipped))
     di_gap = abs(mutual_information_given_state(spec, n, s0, pmf) - n * sol.capacity_bits)
     passed = (
         min_entry >= -MATCH_MIN_ENTRY_TOL

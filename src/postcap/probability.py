@@ -61,14 +61,31 @@ def _freeze(a):
 
 @dataclass(frozen=True)
 class SequencePmf:
-    """Probability vector over length-n sequences, lexicographically indexed."""
+    """Probability vector over length-n sequences, lexicographically indexed.
+
+    values is adopted as given when it is a read-only, C-contiguous, 1-D
+    float64 array that owns its data and has no entry with its sign bit
+    set (no negative entry, no -0.0): clamping it would change no bit,
+    and no other array can change it or be kept alive by it.  Any other
+    input is copied, with entries below zero clamped to 0.
+    """
 
     alphabet_size: int
     n: int
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        v = self.values
+        owned = (
+            isinstance(v, np.ndarray)
+            and v.dtype == np.float64
+            and v.ndim == 1
+            and v.flags.c_contiguous
+            and not v.flags.writeable
+            and v.base is None
+        )
+        if not owned:
+            v = np.asarray(v, dtype=float).reshape(-1)
         size = self.alphabet_size**self.n
         if v.shape[0] != size:
             raise ValueError(f"expected {size} entries, got {v.shape[0]}")
@@ -78,8 +95,9 @@ class SequencePmf:
         total = v.sum()
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        # small negatives are rounding noise; clamp once at construction
-        object.__setattr__(self, "values", _freeze(np.maximum(v, 0.0)))
+        if not (owned and (lo > 0.0 or not np.signbit(v).any())):
+            # small negatives are rounding noise; clamp once at construction
+            object.__setattr__(self, "values", _freeze(np.maximum(v, 0.0)))
 
     def as_array(self):
         """Values reshaped to one axis per position."""
@@ -95,14 +113,14 @@ class SequencePmf:
         k = self.alphabet_size
         rows = self.values.reshape(k**i, k ** (self.n - i))
         if rows.shape[1] >= PAIRWISE_BLOCK:
-            return SequencePmf(k, i, rows.sum(axis=1))
+            return SequencePmf(k, i, _freeze(rows.sum(axis=1)))
         # numpy adds fewer than PAIRWISE_BLOCK entries one after another,
         # so adding the columns in order gives the same bits without its
         # per-row cost
-        v = rows[:, 0].copy()
-        for j in range(1, rows.shape[1]):
+        v = rows[:, 0] + rows[:, 1] if rows.shape[1] > 1 else rows[:, 0].copy()
+        for j in range(2, rows.shape[1]):
             v += rows[:, j]
-        return SequencePmf(k, i, v)
+        return SequencePmf(k, i, _freeze(v))
 
     def suffix_marginal(self, i):
         """Marginal pmf of the last i symbols."""
@@ -110,7 +128,7 @@ class SequencePmf:
             raise ValueError("suffix length out of range")
         k = self.alphabet_size
         v = self.values.reshape(k ** (self.n - i), k**i).sum(axis=0)
-        return SequencePmf(k, i, v)
+        return SequencePmf(k, i, _freeze(v))
 
 
 @dataclass(frozen=True)

@@ -351,17 +351,21 @@ def _feedback_box_grid_max(chan, points=17, zooms=4):
     """Coarse box grid over all five policy coordinates, with local zoom."""
 
     def evaluate(axes):
-        mesh = np.meshgrid(*axes, indexing="ij")
+        # one block of points^4 policies per value of the first coordinate,
+        # so the (B, 4, 4) temporaries hold points^4 entries, not points^5
+        vals = np.empty([len(axis) for axis in axes])
+        mesh = np.meshgrid(*axes[1:], indexing="ij")
         flat = [m.ravel() for m in mesh]
-        batch = flat[0].size
-        pi1 = np.stack([1.0 - flat[0], flat[0]], axis=1)
-        pi2 = np.empty((batch, 2, 2, 2))
-        pi2[:, 0, 0, 1] = flat[1]
-        pi2[:, 0, 1, 1] = flat[2]
-        pi2[:, 1, 0, 1] = flat[3]
-        pi2[:, 1, 1, 1] = flat[4]
+        pi2 = np.empty((flat[0].size, 2, 2, 2))
+        pi2[:, 0, 0, 1] = flat[0]
+        pi2[:, 0, 1, 1] = flat[1]
+        pi2[:, 1, 0, 1] = flat[2]
+        pi2[:, 1, 1, 1] = flat[3]
         pi2[..., 0] = 1.0 - pi2[..., 1]
-        return _di_policy_batch(chan, pi1, pi2).reshape(mesh[0].shape)
+        for i, first in enumerate(axes[0]):
+            pi1 = np.tile([1.0 - first, first], (len(pi2), 1))
+            vals[i] = _di_policy_batch(chan, pi1, pi2).reshape(vals.shape[1:])
+        return vals
 
     axes = [np.linspace(0.0, 1.0, points)] * 5
     vals = evaluate(axes)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import select
@@ -146,6 +147,56 @@ def test_table1_closed_form_rows_are_pinned(tmp_path):
     assert out.read_text() == TABLE1_CLOSED_FORM_CSV
 
 
+# (byte count, SHA-256) of two sweeps' CSV files, 1,682 and 202 lines
+SWEEP_PINS = {
+    ("ab", "41"): (60252, "23e0c00547d967836a619ddda7f9f19eb54511ec00142faa176da812e320a56b"),
+    ("alpha", "201"): (3638, "3e0cbdd82205a6e4a72d5a8f364b6b9a5868b109ead6b0acbe22c597bebfc2ef"),
+}
+
+
+@pytest.mark.parametrize("target, points", sorted(SWEEP_PINS))
+def test_sweep_csv_is_pinned_byte_for_byte(target, points, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", target, "--points", points, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_PINS[target, points]
+
+
+VERIFY_CONSTRUCTION_POST_AB_N20 = """\
+construction/s0=0 input_valid: margin=4.440892e-16 pass
+construction/s0=0 output_markov: margin=5.421011e-20 pass
+construction/s0=0 horizon_consistency: margin=2.220446e-16 pass
+construction/s0=1 input_valid: margin=4.440892e-16 pass
+construction/s0=1 output_markov: margin=4.065758e-20 pass
+construction/s0=1 horizon_consistency: margin=2.220446e-16 pass
+result: pass
+"""
+
+# the Z/S family: its open-loop inputs and output law have structural zeros
+VERIFY_CONSTRUCTION_POST_ALPHA_N20 = """\
+construction/s0=0 input_valid: margin=1.776357e-15 pass
+construction/s0=0 output_markov: margin=3.252607e-19 pass
+construction/s0=0 horizon_consistency: margin=8.881784e-16 pass
+construction/s0=1 input_valid: margin=1.776357e-15 pass
+construction/s0=1 output_markov: margin=3.252607e-19 pass
+construction/s0=1 horizon_consistency: margin=8.881784e-16 pass
+result: pass
+"""
+
+
+@pytest.mark.parametrize(
+    "family, want",
+    [
+        (["--family", "post-ab", "--a", "0.9", "--b", "0.7"], VERIFY_CONSTRUCTION_POST_AB_N20),
+        (["--family", "post-alpha", "--alpha", "0.3"], VERIFY_CONSTRUCTION_POST_ALPHA_N20),
+    ],
+    ids=["post-ab", "post-alpha"],
+)
+def test_verify_construction_at_n20_is_pinned(family, want, capsys):
+    assert main(["verify", "construction", *family, "--n", "20"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_table1_json_format(tmp_path):
     out = tmp_path / "table.json"
     code = main(
@@ -252,6 +303,23 @@ def test_oversized_request_exits_2_before_allocating(argv, capsys):
     assert exc.value.code == 2
     assert peak < 2**20
     assert "entries (cap 1048576)" in capsys.readouterr().err
+
+
+def test_table1_checks_each_lumped_channel_once(monkeypatch, capsys):
+    # the size check before the rows is the one the largest m's solve uses;
+    # one CPU, so that every call is made in this process
+    calls = []
+    check = postcap.channels._check_lumped_size
+
+    def counted(spec, n, s0):
+        calls.append((spec.m, n, s0))
+        return check(spec, n, s0)
+
+    monkeypatch.setattr(postcap.channels, "_check_lumped_size", counted)
+    monkeypatch.setattr(postcap.optimize, "_check_lumped_size", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["table1", "--n", "3", "--max-m", "4", "--upper-bound-max-m", "4"]) == 0
+    assert sorted(calls) == [(2, 3, 0), (2, 3, 2), (4, 3, 0), (4, 3, 4)]
 
 
 def test_table1_upper_bound_reaches_m8(capsys):

@@ -185,6 +185,26 @@ def test_binary_closed_forms_coerce_numpy_scalars_to_the_same_floats():
     assert binary_dmc_capacity(np.float64(0.2), np.float64(0.3)).relabeled
 
 
+def test_solution_records_are_immutable_tuples_with_their_fields():
+    records = [
+        (post_alpha_capacity(0.3), ("alpha", "c", "capacity_bits", "input_pmf", "output_markov_transition")),
+        (
+            binary_dmc_capacity(0.9, 0.7),
+            ("a", "b", "capacity_bits", "gamma", "input_pmf", "output_pmf", "relabeled", "degenerate"),
+        ),
+        (mary_feedback_capacity(4), ("m", "gamma_star", "delta_star", "capacity_bits", "stationary_pi")),
+    ]
+    for record, fields in records:
+        assert isinstance(record, tuple) and type(record)._fields == fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+    ab = binary_dmc_capacity(0.9, 0.7)
+    assert ab.degenerate is False and ab.output_markov_transition == ab.output_pmf[1]
+    assert type(ab)(*ab[:-1]) == ab  # degenerate defaults to False
+    assert binary_dmc_capacity(0.3, 0.7).degenerate is True
+
+
 # -- m-ary feedback capacity ---------------------------------------------------
 
 

@@ -16,13 +16,15 @@ from postcap import (
     compose_causal,
     induction_step_check,
     inequality_sweep,
+    open_loop_match,
     output_markov_pmf,
     post_alpha_capacity,
     recursive_input_ab,
     recursive_input_alpha,
 )
+from postcap import construction
 from postcap.channels import _vector_level_row, _vector_levels
-from postcap.construction import _input_coeffs, _output_chain, _output_state_policy
+from postcap.construction import _input_coeffs, _input_levels, _open_loop_input, _output_chain, _output_state_policy
 
 from dense_reference import feedback_policy, output_state_policy
 
@@ -192,6 +194,68 @@ def test_last_level_row_is_that_row_of_the_full_level(spec):
             for s0 in (0, 1):
                 row = _vector_level_row(coeffs, n, s0)
                 assert row.shape == (2**n,) and np.array_equal(row, levels[s0])
+
+
+MARKOV_DELTAS = [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, *np.random.default_rng(23).uniform(0.0, 1.0, 20)]
+
+
+@pytest.mark.parametrize("delta", MARKOV_DELTAS)
+def test_markov_pmf_is_the_diagonal_recursion_bit_for_bit(delta):
+    # the in-place row is the vector recursion with coefficients diag T_s:
+    # the same products, so the same bits, signed zeros included
+    coeffs = np.array([np.diag(column) for column in _output_chain(delta).T])
+    for n in range(1, 15):
+        for s0 in (0, 1):
+            values = output_markov_pmf(delta, n, s0).values
+            want = _vector_level_row(coeffs, n, s0)
+            assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+
+
+def test_markov_pmf_is_built_in_one_row():
+    # no level, product or copy beside the 2^16-entry row the pmf keeps
+    tracemalloc.start()
+    try:
+        pmf = output_markov_pmf(0.2, 16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * 2**16
+    assert pmf.values.base is None and not pmf.values.flags.writeable
+
+
+@pytest.mark.parametrize("spec", [PostAlpha(0.37), PostAB(0.9, 0.7), PostAB(0.6, 0.5)])
+def test_open_loop_pmfs_adopt_their_arrays(spec, monkeypatch):
+    # the open-loop input keeps the row the recursion built; the matched
+    # input and the marginals keep arrays of their own, read-only
+    rows = []
+
+    def recorded(*args):
+        rows.append(_vector_level_row(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(construction, "_vector_level_row", recorded)
+    assert _open_loop_input(spec, 6, 0).values is rows[-1]
+    pmf = open_loop_match(spec, 6, 1).input_pmf
+    for marginal in (pmf, pmf.prefix_marginal(2), pmf.prefix_marginal(6), pmf.suffix_marginal(3)):
+        assert marginal.values.base is None and not marginal.values.flags.writeable
+    for coeffs in (_input_coeffs(spec), np.array([np.diag(c) for c in _output_chain(0.2).T])):
+        row = _vector_level_row(coeffs, 5, 1)
+        assert row.base is None and not row.flags.writeable
+
+
+def _induction_reference(spec, beta, n, slack=1e-12):
+    for p0, p1 in _input_levels(spec, n):
+        if (beta * p1 - p0).min() < -slack or (beta * p0 - p1).min() < -slack:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", [PostAB(0.9, 0.7), PostAB(0.6, 0.5), PostAlpha(0.3)])
+def test_induction_step_check_matches_the_two_temporaries_form(spec):
+    witness = beta_intervals_ab(spec.a, spec.b).nonempty_witness if isinstance(spec, PostAB) else 2.0
+    for beta in (witness, 1.0, 0.5, 1.5, 3.0, 1e3):
+        for n in (1, 4, 9, 16):
+            assert induction_step_check(spec, beta, n) == _induction_reference(spec, beta, n)
 
 
 def test_output_state_kernel_is_the_composed_policy():

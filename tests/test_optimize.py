@@ -532,8 +532,8 @@ def test_open_loop_solver_is_monotone_and_certifies_where_plain_ba_does(data):
 def _kept_iterates(spec, n, cfg):
     """(value, largest divergence) in nats of every kept iterate, per start state solved alone."""
     return [
-        [(value, top) for _, value, top in optimize._open_loop_iterates(spec, n, s0, cfg, spec.free_labels)]
-        for s0 in channels.initial_states(spec)
+        [(value, top) for _, value, top in optimize._open_loop_iterates(spec, n, s0, cfg, lumped)]
+        for s0, lumped in optimize._check_upper_bound_size(spec, n).items()
     ]
 
 
@@ -651,6 +651,22 @@ def test_upper_bound_size_check_follows_the_solve_path():
         optimize._check_upper_bound_size(MaryPost(16), 8)
     with pytest.raises(ValueError, match="channel pass"):
         optimize._check_upper_bound_size(PostAlpha(0.5), 21)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: upper_bound(MaryPost(16), 9), lambda: channels._lumped_channel(MaryPost(16), 9, 0)],
+    ids=["upper_bound", "lumped_channel"],
+)
+def test_oversized_lumped_channel_is_refused_when_called_directly(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lumped channel would hold 6729540 entries"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_upper_bound_on_orbits_memory():

@@ -72,6 +72,38 @@ def test_sequence_pmf_clamps_rounding_noise():
     assert pmf.values[1] == 0.0
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_sequence_pmf_adopts_only_read_only_owning_nonnegative_arrays():
+    adopted = _read_only(np.array([0.125, 0.125, 0.0, 0.75]))
+    assert SequencePmf(2, 2, adopted).values is adopted
+
+    writeable = np.array([0.25, 0.25, 0.25, 0.25])
+    base = np.array([0.25, 0.25, 0.25, 0.25])
+    view = _read_only(base[:])
+    negative = _read_only(np.array([0.5 + 1e-13, 0.25, 0.25, -1e-13]))
+    signed_zero = _read_only(np.array([0.5, 0.25, 0.25, -0.0]))
+    for arr, source in ((writeable, writeable), (view, base), (negative, negative), (signed_zero, signed_zero)):
+        pmf = SequencePmf(2, 2, arr)
+        assert pmf.values is not arr and pmf.values.base is None and not pmf.values.flags.writeable
+        # the copy is clamped: no entry below zero, no -0.0
+        assert not np.signbit(pmf.values).any()
+        before = pmf.values.copy()
+        source.setflags(write=True)
+        source[0] = 0.75
+        assert np.array_equal(pmf.values, before)
+    # the checks run on adopted arrays too
+    with pytest.raises(ValueError, match="sum to"):
+        SequencePmf(2, 1, _read_only(np.array([0.5, 0.6])))
+    with pytest.raises(ValueError, match="expected 4 entries"):
+        SequencePmf(2, 2, _read_only(np.array([0.5, 0.5])))
+    with pytest.raises(ValueError, match="negative probability"):
+        SequencePmf(2, 1, _read_only(np.array([1.5, -0.5])))
+
+
 def test_marginals():
     values = np.array([0.4, 0.1, 0.2, 0.3])
     pmf = SequencePmf(2, 2, values)
