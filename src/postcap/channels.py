@@ -24,6 +24,10 @@ from .probability import CONDITIONAL_ROW_TOL, ENTRY_FLOOR, CausalKernel, _freeze
 # No sequence-level array may hold more entries than this.
 DENSE_ENTRY_CAP = 2**20
 
+# Columns per block of the in-place passes over a level's columns:
+# 2^14 columns of two rows, 256 KiB.
+COLUMN_BLOCK = 2**14
+
 # One-step matrices with |det| at or below this count as singular.
 SINGULAR_DET = 1e-9
 
@@ -236,19 +240,38 @@ def _vector_levels(coeffs, n):
 def _vector_level_row(coeffs, n, s):
     """Row s of level n of _vector_levels(coeffs, n), alone: coeffs[s] @ level n - 1.
 
-    The row is a read-only array that owns its data.
+    coeffs is square, k x k matrices for k states, as for every
+    invertible channel.  So level n - 1, k rows of k^(n-1) entries,
+    fills the k^n-entry result, and is built in the returned row itself.
+    The levels below alternate between one scratch array of k^(n-1)
+    entries and the front of the row, each one matrix product written
+    with out=.  Row s is then mixed in place, COLUMN_BLOCK columns at a
+    time through a small buffer: column j of the result depends only on
+    column j of level n - 1.  The products are those of _vector_levels,
+    so the bits are the same.  The row is a read-only array that owns
+    its data.
     """
-    r = coeffs.shape[1]
-    _check_entries("vector", r**n)  # level n's guard, before the first product
+    k = len(coeffs)
+    _check_entries("vector", k**n)  # level n's guard, before the first product
     if not n:
         return _freeze(np.ones(1))
-    # allocated before the levels, so that freeing them leaves no hole
+    # allocated before the scratch, so that freeing it leaves no hole
     # below the row in the heap, which would raise the peak RSS
-    row = np.empty(r**n)
-    levels = np.ones((len(coeffs), 1))
-    for levels in _vector_levels(coeffs, n - 1):
-        pass
-    np.matmul(coeffs[s], levels, out=row.reshape(r, -1))
+    row = np.empty(k**n)
+    scratch = np.empty(k ** (n - 1))
+    stacked = coeffs.reshape(k * k, k)
+    # level l lives in the row when n - 1 - l is even, else in the scratch
+    level = (row if n % 2 else scratch)[:k].reshape(k, 1)
+    level[...] = 1.0
+    for l in range(1, n):
+        out = (row if (n - 1 - l) % 2 == 0 else scratch)[: k ** (l + 1)]
+        np.matmul(stacked, level, out=out.reshape(k * k, -1))
+        level = out.reshape(k, -1)
+    buf = np.empty((k, min(level.shape[1], COLUMN_BLOCK)))
+    for start in range(0, level.shape[1], COLUMN_BLOCK):
+        cols = level[:, start : start + COLUMN_BLOCK]
+        np.matmul(coeffs[s], cols, out=buf)
+        cols[...] = buf
     return _freeze(row)
 
 

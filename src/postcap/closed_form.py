@@ -94,17 +94,10 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
         relabeled = True
     s = a + b - 1.0
     if abs(s) <= DEGENERATE_EPS:
-        return PostABSolution(
-            a=a,
-            b=b,
-            capacity_bits=0.0,
-            gamma=math.nan,
-            input_pmf=(0.5, 0.5),
-            output_pmf=(0.5, 0.5),
-            relabeled=relabeled,
-            degenerate=True,
-        )
-    ha, hb = binary_entropy(a), binary_entropy(b)
+        return PostABSolution(a, b, 0.0, math.nan, (0.5, 0.5), (0.5, 0.5), relabeled, True)
+    # binary_entropy's arithmetic, inline: a and b already lie in [0, 1]
+    ha = 0.0 if a == 0.0 or a == 1.0 else -(a * math.log2(a) + (1.0 - a) * math.log2(1.0 - a))
+    hb = 0.0 if b == 0.0 or b == 1.0 else -(b * math.log2(b) + (1.0 - b) * math.log2(1.0 - b))
     capacity = math.log2(
         2.0 ** (((1.0 - a) * hb - b * ha) / s) + 2.0 ** (((1.0 - b) * ha - a * hb) / s)
     )
@@ -120,15 +113,7 @@ def binary_dmc_capacity(a, b) -> PostABSolution:
         c0 * (a * ea - (1.0 - a) * eb),
     )
     output_pmf = (gamma / (1.0 + gamma), 1.0 / (1.0 + gamma))
-    return PostABSolution(
-        a=a,
-        b=b,
-        capacity_bits=capacity,
-        gamma=gamma,
-        input_pmf=input_pmf,
-        output_pmf=output_pmf,
-        relabeled=relabeled,
-    )
+    return PostABSolution(a, b, capacity, gamma, input_pmf, output_pmf, relabeled)
 
 
 def _mary_lead(m, g):

@@ -10,20 +10,17 @@ multiplier beta inside a set of closed intervals, and the inequalities
 backing those intervals are swept numerically on parameter grids.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .channels import PostAB, PostAlpha, _check_entries, _check_start
+from .channels import COLUMN_BLOCK, PostAB, PostAlpha, _check_entries, _check_start
 from .channels import _inverse_class_matrices, _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
 from .probability import SequencePmf, StepPolicy, _freeze, binary_entropy
-
-
-# Entries per block of induction_step_check's buffer, 128 KiB.
-CHECK_BLOCK = 2**14
 
 
 def _output_chain(delta):
@@ -199,17 +196,23 @@ def beta_intervals_ab(a, b) -> IntervalSet:
 def induction_step_check(spec, beta, n, slack=1e-12) -> bool:
     """Entrywise beta-domination between the two input chains up to level n.
 
-    Both checks, beta p1 - p0 and beta p0 - p1, are written in turn into
-    one buffer of CHECK_BLOCK entries, block by block along each level.
-    The buffer stays in cache; level-sized temporaries would each cost a
-    fresh allocation and its page faults.
+    Each level l is checked from level l - 1, COLUMN_BLOCK columns at a
+    time: rows i and 2 + i of stacked @ level[:, block], i in {0, 1},
+    are segment i of p_0 and of p_1 at level l, the products
+    _vector_levels forms.  Both checks, beta p1 - p0 and beta p0 - p1,
+    are written in turn into one buffer, block by block, so level n is
+    never held whole.
     """
-    margin = np.empty(min(2**n, CHECK_BLOCK))
-    for level in _input_levels(spec, n):
-        for start in range(0, level.shape[1], CHECK_BLOCK):
-            p0, p1 = level[:, start : start + CHECK_BLOCK]
-            out = margin[: len(p0)]
-            for this, other in ((p0, p1), (p1, p0)):
+    _check_entries("vector", 2**n)
+    if n < 1:
+        return True
+    stacked = _input_coeffs(spec).reshape(4, 2)
+    margin = np.empty((2, min(2 ** (n - 1), COLUMN_BLOCK)))
+    for level in itertools.chain([np.ones((2, 1))], _input_levels(spec, n - 1)):
+        for start in range(0, level.shape[1], COLUMN_BLOCK):
+            block = stacked @ level[:, start : start + COLUMN_BLOCK]
+            out = margin[:, : block.shape[1]]
+            for this, other in ((block[:2], block[2:]), (block[2:], block[:2])):
                 np.multiply(beta, other, out=out)
                 if np.subtract(out, this, out=out).min() < -slack:
                     return False

@@ -15,6 +15,7 @@ joint law the directed-information functionals sum over.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,10 @@ LN2 = math.log(2.0)
 # Fewest entries that numpy's sum adds pairwise (in blocks of 8) rather
 # than one after another.
 PAIRWISE_BLOCK = 8
+
+# Most entries that numpy's pairwise sum adds as one block, without
+# splitting them in halves.
+PAIRWISE_ROOT = 128
 
 # Slack of the validity checks on pmfs, step conditionals and kernels:
 # how far below zero an entry may drift, how far a pmf total may stray
@@ -68,6 +73,10 @@ class SequencePmf:
     set (no negative entry, no -0.0): clamping it would change no bit,
     and no other array can change it or be kept alive by it.  Any other
     input is copied, with entries below zero clamped to 0.
+
+    prefix_marginal caches the sums of the PAIRWISE_ROOT-entry blocks of
+    values on first use: a read-only array of len(values) / 128 entries,
+    held outside the dataclass fields, so == and repr ignore it.
     """
 
     alphabet_size: int
@@ -106,19 +115,41 @@ class SequencePmf:
     def entry(self, seq):
         return float(self.values[sequence_index(seq, self.alphabet_size)])
 
+    @cached_property
+    def _block_sums(self):
+        """Sums of the consecutive PAIRWISE_ROOT-entry blocks of values, read-only."""
+        return _freeze(self.values.reshape(-1, PAIRWISE_ROOT).sum(axis=1))
+
     def prefix_marginal(self, i):
-        """Marginal pmf of the first i symbols."""
+        """Marginal pmf of the first i symbols.
+
+        Each entry has the bits of numpy's sum over its tail of
+        t = k^(n-i) entries.  That sum is pairwise: a run of t >= 8
+        entries is split in halves rounded down to a multiple of 8 until
+        at most PAIRWISE_ROOT = 128 remain, and each such block is added
+        by 8 accumulators, combined pairwise.  So when t is a power of
+        two, at least 128, the tail sums are the 128-entry block sums,
+        cached once per pmf, halved pairwise; and at t = 8 they are the
+        entries halved pairwise three times.  Every other t is summed
+        directly.
+        """
         if not 0 <= i <= self.n:
             raise ValueError("prefix length out of range")
         k = self.alphabet_size
-        rows = self.values.reshape(k**i, k ** (self.n - i))
-        if rows.shape[1] >= PAIRWISE_BLOCK:
+        tail = k ** (self.n - i)
+        if tail == PAIRWISE_BLOCK or (tail >= PAIRWISE_ROOT and not tail & (tail - 1)):
+            v = self.values if tail == PAIRWISE_BLOCK else self._block_sums
+            while len(v) > k**i:
+                v = v[0::2] + v[1::2]
+            return SequencePmf(k, i, _freeze(v))
+        rows = self.values.reshape(k**i, tail)
+        if tail > PAIRWISE_BLOCK:
             return SequencePmf(k, i, _freeze(rows.sum(axis=1)))
         # numpy adds fewer than PAIRWISE_BLOCK entries one after another,
         # so adding the columns in order gives the same bits without its
         # per-row cost
-        v = rows[:, 0] + rows[:, 1] if rows.shape[1] > 1 else rows[:, 0].copy()
-        for j in range(2, rows.shape[1]):
+        v = rows[:, 0] + rows[:, 1] if tail > 1 else rows[:, 0].copy()
+        for j in range(2, tail):
             v += rows[:, j]
         return SequencePmf(k, i, _freeze(v))
 

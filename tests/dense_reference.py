@@ -7,7 +7,9 @@ per-step conditionals it factors into, the output law induced through
 the dense channel, the per-step decomposition of directed information,
 the step arrays of an output-state policy, and the closed-form feedback
 policy of a binary family as a causal kernel.  iid_state_example holds
-the capacities of the paper's i.i.d.-state example.
+the capacities of the paper's i.i.d.-state example, and
+binary_dmc_capacity_reference the binary DMC's closed form as written
+with binary_entropy calls and keyword fields.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from postcap.channels import _check_causal_kernel, build_sequence_kernel
-from postcap.closed_form import closed_form_solution
+from postcap.closed_form import DEGENERATE_EPS, PostABSolution, closed_form_solution
 from postcap.construction import _output_state_policy
 from postcap.probability import CausalKernel, SequencePmf, StepPolicy, _joint, binary_entropy, compose_causal
 
@@ -197,3 +199,49 @@ def iid_state_example():
     no_feedback = binary_entropy(0.25) - 0.5
     feedback = binary_entropy(0.2) - 0.4
     return no_feedback, feedback
+
+
+def binary_dmc_capacity_reference(a, b) -> PostABSolution:
+    """closed_form.binary_dmc_capacity, with binary_entropy calls and keyword fields."""
+    a, b = float(a), float(b)
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError("a and b must lie in [0, 1]")
+    relabeled = False
+    if a + b - 1.0 < -DEGENERATE_EPS:
+        a, b = 1.0 - a, 1.0 - b
+        relabeled = True
+    s = a + b - 1.0
+    if abs(s) <= DEGENERATE_EPS:
+        return PostABSolution(
+            a=a,
+            b=b,
+            capacity_bits=0.0,
+            gamma=math.nan,
+            input_pmf=(0.5, 0.5),
+            output_pmf=(0.5, 0.5),
+            relabeled=relabeled,
+            degenerate=True,
+        )
+    ha, hb = binary_entropy(a), binary_entropy(b)
+    capacity = math.log2(
+        2.0 ** (((1.0 - a) * hb - b * ha) / s) + 2.0 ** (((1.0 - b) * ha - a * hb) / s)
+    )
+    gamma = 2.0 ** ((hb - ha) / s)
+    top = max(ha, hb)
+    eb = 2.0 ** ((hb - top) / s)
+    ea = 2.0 ** ((ha - top) / s)
+    c0 = 1.0 / (s * (eb + ea))
+    input_pmf = (
+        c0 * (b * eb - (1.0 - b) * ea),
+        c0 * (a * ea - (1.0 - a) * eb),
+    )
+    output_pmf = (gamma / (1.0 + gamma), 1.0 / (1.0 + gamma))
+    return PostABSolution(
+        a=a,
+        b=b,
+        capacity_bits=capacity,
+        gamma=gamma,
+        input_pmf=input_pmf,
+        output_pmf=output_pmf,
+        relabeled=relabeled,
+    )

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -25,7 +26,9 @@ from postcap import (
     step_kernel,
 )
 
-from dense_reference import iid_state_example, open_loop_kernel
+from postcap.closed_form import DEGENERATE_EPS
+
+from dense_reference import binary_dmc_capacity_reference, iid_state_example, open_loop_kernel
 
 # -- array-valued grid oracle of the m-ary rate ---------------------------------
 # The rate on numpy arrays, for grid searches: an oracle independent of the
@@ -183,6 +186,28 @@ def test_binary_closed_forms_coerce_numpy_scalars_to_the_same_floats():
             assert all(type(v) is float for v in fields)
     assert binary_dmc_capacity(np.float64(0.3), np.float64(0.7)).degenerate
     assert binary_dmc_capacity(np.float64(0.2), np.float64(0.3)).relabeled
+
+
+def _packed_fields(sol):
+    """Every field of a PostABSolution, floats as their 8 bytes."""
+    flat = [sol.a, sol.b, sol.capacity_bits, sol.gamma, *sol.input_pmf, *sol.output_pmf]
+    return [struct.pack("<d", v) for v in flat] + [sol.relabeled, sol.degenerate]
+
+
+def test_binary_dmc_capacity_keeps_the_bits_of_the_reference():
+    # the inline entropies and the positional record change no bit: on the
+    # 201 x 201 grid, around the degenerate line a + b = 1 and at the corners
+    grid = np.linspace(0.0, 1.0, 201)
+    points = [(a, b) for a in grid for b in grid]
+    for a in grid:
+        for d in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            b = 1.0 - a + d * DEGENERATE_EPS
+            if 0.0 <= b <= 1.0:
+                points.append((a, b))
+    points += [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for a, b in points:
+        got, want = binary_dmc_capacity(a, b), binary_dmc_capacity_reference(a, b)
+        assert type(got) is type(want) and _packed_fields(got) == _packed_fields(want), (a, b)
 
 
 def test_solution_records_are_immutable_tuples_with_their_fields():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -184,16 +185,33 @@ def test_vector_recursion_size_guard_raises_before_allocating():
         assert peak < 2**20
 
 
-@pytest.mark.parametrize("spec", [PostAlpha(0.37), PostAB(0.9, 0.7), PostAB(0.6, 0.5)])
+@pytest.mark.parametrize(
+    "spec",
+    [PostAlpha(0.37), PostAB(0.9, 0.7), PostAB(0.6, 0.5), PostAlpha(0.3), PostAB(0.788, 0.2854), PostAB(0.5, 0.5001)],
+)
 def test_last_level_row_is_that_row_of_the_full_level(spec):
     # the open-loop inputs and the Markov output law build only row s0 of
-    # level n, with the same products as the full level: equal bit for bit
+    # level n, in place and block by block, with the same products as the
+    # full level: equal byte for byte up to the dense cap
     chain = _output_chain(closed_form_solution(spec).output_markov_transition)
     for coeffs in (_input_coeffs(spec), np.array([np.diag(chain[:, s]) for s in (0, 1)])):
-        for n, levels in enumerate(_vector_levels(coeffs, 12), start=1):
+        for n, level in enumerate(itertools.chain([np.ones((2, 1))], _vector_levels(coeffs, 20))):
             for s0 in (0, 1):
                 row = _vector_level_row(coeffs, n, s0)
-                assert row.shape == (2**n,) and np.array_equal(row, levels[s0])
+                assert row.shape == (2**n,) and row.tobytes() == level[s0].tobytes(), (n, s0)
+
+
+def test_last_level_row_is_built_in_the_returned_row():
+    # the 2^20-entry row holds level 19; beside it only a 2^19-entry
+    # scratch level and a block buffer are allocated
+    coeffs = _input_coeffs(PostAB(0.9, 0.7))
+    tracemalloc.start()
+    try:
+        _vector_level_row(coeffs, 20, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20
 
 
 MARKOV_DELTAS = [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, *np.random.default_rng(23).uniform(0.0, 1.0, 20)]
@@ -250,12 +268,30 @@ def _induction_reference(spec, beta, n, slack=1e-12):
     return True
 
 
-@pytest.mark.parametrize("spec", [PostAB(0.9, 0.7), PostAB(0.6, 0.5), PostAlpha(0.3)])
+@pytest.mark.parametrize("spec", [PostAB(0.9, 0.7), PostAB(0.6, 0.5), PostAlpha(0.3), PostAB(0.55, 0.5)])
 def test_induction_step_check_matches_the_two_temporaries_form(spec):
+    # level n is checked from level n - 1 block by block; at n = 17 that
+    # level spans several blocks
     witness = beta_intervals_ab(spec.a, spec.b).nonempty_witness if isinstance(spec, PostAB) else 2.0
     for beta in (witness, 1.0, 0.5, 1.5, 3.0, 1e3):
-        for n in (1, 4, 9, 16):
+        for n in (0, 1, 2, 4, 9, 17):
             assert induction_step_check(spec, beta, n) == _induction_reference(spec, beta, n)
+
+
+def test_induction_step_check_never_holds_level_n():
+    # the check holds level n - 1 and the level before it while that one
+    # is built, not the 2^21-entry level n; past the dense cap it raises
+    spec = PostAB(0.9, 0.7)
+    witness = beta_intervals_ab(0.9, 0.7).nonempty_witness
+    tracemalloc.start()
+    try:
+        assert induction_step_check(spec, witness, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20
+    with pytest.raises(ValueError, match="entries"):
+        induction_step_check(spec, witness, 21)
 
 
 def test_output_state_kernel_is_the_composed_policy():

@@ -112,14 +112,43 @@ def test_marginals():
     assert pmf.entry((1, 0)) == approx(0.2)
 
 
-@pytest.mark.parametrize("k, n", [(2, 11), (3, 7), (4, 5), (5, 4)])
+def _marginal_orders(n):
+    ascending = list(range(n + 1))
+    return [ascending, ascending[::-1], [max(n - 7, 0), *ascending]]
+
+
+@pytest.mark.parametrize("k, n", [(2, 11), (2, 20), (3, 7), (4, 5), (4, 10), (5, 4)])
 def test_prefix_marginal_bits_equal_reshape_sum(k, n):
-    # tails shorter than 8 entries are added column by column, longer ones by sum
+    # power-of-two tails of 128 entries or more come from the cached block
+    # sums, tails of 8 from halving the entries, tails shorter than 8 are
+    # added column by column, the rest by sum; all must keep numpy's bits,
+    # whichever marginal comes first.  Zeros and subnormals are included.
     rng = np.random.default_rng(k)
-    pmf = SequencePmf(k, n, rng.dirichlet(np.ones(k**n)))
-    for i in range(n + 1):
-        want = pmf.values.reshape(k**i, -1).sum(axis=1)
-        assert np.array_equal(pmf.prefix_marginal(i).values, want)
+    values = rng.dirichlet(np.ones(k**n))
+    values[::11] = 0.0
+    values[3::13] = 5e-324
+    values /= values.sum()
+    assert (values == 5e-324).any()
+    for order in _marginal_orders(n):
+        pmf = SequencePmf(k, n, values)
+        for i in order:
+            want = pmf.values.reshape(k**i, -1).sum(axis=1)
+            assert pmf.prefix_marginal(i).values.tobytes() == want.tobytes(), (order, i)
+
+
+def test_block_sum_cache_is_small_read_only_and_outside_the_fields():
+    values = _read_only(np.random.default_rng(3).dirichlet(np.ones(2**12)))
+    pmf, other = SequencePmf(2, 12, values), SequencePmf(2, 12, values)
+    assert "_block_sums" not in vars(pmf)
+    pmf.prefix_marginal(2)
+    cache = vars(pmf)["_block_sums"]
+    assert not cache.flags.writeable and cache.size <= values.size // 128
+    with pytest.raises(ValueError):
+        cache[0] = 0.0
+    # the cache is no field: equality and repr see the same pmf
+    assert "_block_sums" not in vars(other)
+    assert pmf == other and repr(pmf) == repr(other)
+    assert "_block_sums" not in repr(pmf)
 
 
 # -- compose / validate / factorize ------------------------------------------
