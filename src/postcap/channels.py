@@ -556,18 +556,24 @@ def _lumped_channel(spec, n, s0, checked=None):
     )
 
 
+def _class_inverse(mat):
+    """W^-1 of a square matrix W with |det W| > SINGULAR_DET, else None."""
+    if mat.shape[0] != mat.shape[1] or abs(np.linalg.det(mat)) <= SINGULAR_DET:
+        return None
+    return np.linalg.inv(mat)
+
+
 def _inverse_class_matrices(spec):
     """Inverse one-step matrix of every class; SingularChannelError if any has none."""
     inverses = {}
     for cls, mat in spec.class_matrices.items():
-        if mat.shape[0] != mat.shape[1]:
+        inverses[cls] = _class_inverse(mat)
+        if inverses[cls] is None and mat.shape[0] != mat.shape[1]:
             raise SingularChannelError("only square channels have an inverse")
-        det = np.linalg.det(mat)
-        if abs(det) <= SINGULAR_DET:
+        if inverses[cls] is None:
             raise SingularChannelError(
-                f"state {cls} matrix has |det| = {abs(det):.3e} <= {SINGULAR_DET:g}"
+                f"state {cls} matrix has |det| = {abs(np.linalg.det(mat)):.3e} <= {SINGULAR_DET:g}"
             )
-        inverses[cls] = np.linalg.inv(mat)
     return inverses
 
 

@@ -10,7 +10,12 @@ rejects with ValueError.
 ``table1`` solves its upper-bound rows over the CPUs the process may
 use (``os.sched_getaffinity``): one forked child per further CPU, each
 row the same solve it is alone, so the output does not depend on the
-CPU count; ``taskset -c 0`` runs it on one.
+CPU count; ``taskset -c 0`` runs it on one.  One rule covers every
+failure: the caller solves each row no child returned.  So a row that
+raised in a child raises the same in the caller, and a row lost to a
+failed fork or a killed child comes out right.  Children are forked,
+not spawned, since a spawned one would import numpy anew; the CLI starts
+no threads, and OpenBLAS stops its pool before a fork.
 
 Output files are deterministic: identical flags (including --seed)
 produce byte-identical bytes.
@@ -23,6 +28,7 @@ import os
 import pickle
 import signal
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .closed_form import (
     mary_scheme_rate,
     post_alpha_capacity,
 )
-from .construction import _input_levels, inequality_sweep
+from .construction import _input_levels, _open_loop_input, inequality_sweep
 from .directed_info import concavity_probe
 from .optimize import (
     OptimizerConfig,
@@ -50,7 +56,7 @@ from .optimize import (
     open_loop_match,
     upper_bound,
 )
-from .probability import SequencePmf, compose_causal, random_policy
+from .probability import compose_causal, random_policy
 
 # Reference values for the m-ary channel family, used by `table1 --check`:
 # (upper bound at n = TABLE1_REFERENCE_N, scheme rate, feedback capacity) per m.
@@ -142,22 +148,14 @@ def _claims(queue):
 
 
 def _serve_child(fn, items, queue, out):
-    """A forked worker: pickle (its pid, {item: fn(item)} or the exception raised) to out, then exit."""
-    code = 1
+    """A forked child: pickle {item: fn(item)} of its claims to out and exit 0, or exit 1 writing nothing."""
     try:
-        try:
-            outcome = {items[i]: fn(items[i]) for i in _claims(queue)}
-        except Exception as exc:
-            outcome = exc
-        try:
-            data = pickle.dumps((os.getpid(), outcome))
-        except Exception:
-            data = pickle.dumps((os.getpid(), RuntimeError(f"{type(outcome).__name__}: {outcome}")))
+        data = pickle.dumps({items[i]: fn(items[i]) for i in _claims(queue)})
         with os.fdopen(out, "wb") as fh:
             fh.write(data)
-        code = 0
+        os._exit(0)
     finally:
-        os._exit(code)
+        os._exit(1)
 
 
 def _map_over_cpus(fn, items):
@@ -166,14 +164,12 @@ def _map_over_cpus(fn, items):
     The caller takes items[0]; then one forked child per further usable
     CPU (at most one per further item) and the caller claim the rest, one
     index at a time, from one queue, so list the costliest item first.
-    Each child pickles its results, or the exception it raised, back over
-    its own pipe; that exception is raised here.  Without os.fork, with
-    one CPU or one item, or once a fork fails, the caller serves the
-    queue alone.  Every child is reaped before this returns, and killed
-    first if this raises.  Children are forked, not spawned: a spawned one
-    would import numpy anew, which costs about as much as the default
-    table's rows.  The CLI runs no threads of its own, and OpenBLAS stops
-    its pool before a fork.
+    Each child pickles its results back over its own pipe, and the caller
+    computes every item no child returned: fn being deterministic, an
+    item that raised in a child raises the same here, and one lost to a
+    failed fork or a killed child comes out right.  Every child is
+    reaped, and killed first if this raises.  Python >= 3.12's warning
+    on a fork while threads run is ignored, so -W error loses no pid.
     """
     queue, feed = os.pipe()
     os.write(feed, bytes(range(1, len(items))))
@@ -187,32 +183,22 @@ def _map_over_cpus(fn, items):
             pipe, out = os.pipe()
             pipes.append(pipe)
             try:
-                pid = os.fork()
-            except (OSError, DeprecationWarning):
-                # Python >= 3.12 warns after forking while threads run: under
-                # -W error the child may exist with its pid lost.  Its pipe
-                # stays, so its results and its pid still come back.
-                pid = None
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(out)
+                break
             if pid == 0:
                 _serve_child(fn, items, queue, out)
             os.close(out)
-            if pid is None:
-                break
             children.append(pid)
         results = {item: fn(item) for item in items[:1]}
         results.update((items[i], fn(items[i])) for i in _claims(queue))
         while pipes:
             with os.fdopen(pipes.pop(0), "rb") as fh:
-                data = fh.read()
-            if data:
-                pid, outcome = pickle.loads(data)
-                if pid not in children:
-                    children.append(pid)
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                results.update(outcome)
-        if len(results) < len(items):
-            raise RuntimeError(f"{len(items) - len(results)} of {len(items)} items came back from no worker")
+                results.update(pickle.loads(data) if (data := fh.read()) else {})
+        results.update((item, fn(item)) for item in items if item not in results)
         raising = False
         return results
     finally:
@@ -357,14 +343,14 @@ def _verify_kkt(parser, args):
 def _verify_construction(parser, args):
     spec = _binary_spec(parser, args)
     matches = [open_loop_match(spec, args.n, s0) for s0 in (0, 1)]
-    levels = list(_input_levels(spec, args.n))
+    # each prefix marginal of the level-n inputs against that level, one level at a time
+    inputs = [_open_loop_input(spec, args.n, s0) for s0 in (0, 1)]
+    gaps = [0.0, 0.0]
+    for i, level in enumerate(_input_levels(spec, args.n - 1), 1):
+        for s0, pmf in enumerate(inputs):
+            gaps[s0] = max(gaps[s0], float(np.abs(pmf.prefix_marginal(i).values - level[s0]).max()))
     checks = []
-    for s0, match in enumerate(matches):
-        pmf = SequencePmf(2, args.n, levels[-1][s0])
-        consistency_gap = 0.0
-        for i in range(1, args.n):
-            gap = float(np.abs(pmf.prefix_marginal(i).values - levels[i - 1][s0]).max())
-            consistency_gap = max(consistency_gap, gap)
+    for s0, (match, consistency_gap) in enumerate(zip(matches, gaps)):
         checks.extend(
             [
                 (f"s0={s0} input_valid", abs(match.total - 1.0), match.passed),

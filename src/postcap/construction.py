@@ -22,6 +22,9 @@ from .channels import _inverse_class_matrices, _vector_level_row, _vector_levels
 from .closed_form import _alpha_powers, closed_form_solution
 from .probability import SequencePmf, StepPolicy, _freeze, binary_entropy
 
+# How far below zero a margin of induction_step_check or inequality_sweep may fall.
+CHECK_SLACK = 1e-12
+
 
 def _output_chain(delta):
     """Symmetric binary output chain T[y, s] = p(y | s); column s is T_s."""
@@ -193,7 +196,7 @@ def beta_intervals_ab(a, b) -> IntervalSet:
     return IntervalSet(l0, l1, l2, l3, l4, l5, l6, witness)
 
 
-def induction_step_check(spec, beta, n, slack=1e-12) -> bool:
+def induction_step_check(spec, beta, n) -> bool:
     """Entrywise beta-domination between the two input chains up to level n.
 
     Each level l is checked from level l - 1, COLUMN_BLOCK columns at a
@@ -214,7 +217,7 @@ def induction_step_check(spec, beta, n, slack=1e-12) -> bool:
             out = margin[:, : block.shape[1]]
             for this, other in ((block[:2], block[2:]), (block[2:], block[:2])):
                 np.multiply(beta, other, out=out)
-                if np.subtract(out, this, out=out).min() < -slack:
+                if np.subtract(out, this, out=out).min() < -CHECK_SLACK:
                     return False
     return True
 
@@ -243,7 +246,7 @@ def _entropy_bits(p):
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
 
 
-def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
+def inequality_sweep(grid_size=200) -> InequalityReport:
     """Evaluate every supporting inequality on open parameter grids.
 
     One-parameter inequalities are swept over alpha in (0, 1); the
@@ -253,7 +256,7 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
     _check_entries("inequality grid", grid_size**2)
-    report = InequalityReport(grid_size, slack)
+    report = InequalityReport(grid_size, CHECK_SLACK)
 
     alphas = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     paa = np.exp(alphas * np.log(alphas) / (1.0 - alphas))
@@ -262,7 +265,7 @@ def inequality_sweep(grid_size=200, slack=1e-12) -> InequalityReport:
 
     def add(name, hypothesis, margins):
         worst = float(np.min(margins)) if np.size(margins) else math.inf
-        report.checks.append(InequalityCheck(name, hypothesis, worst, worst >= -slack))
+        report.checks.append(InequalityCheck(name, hypothesis, worst, worst >= -CHECK_SLACK))
 
     add("alpha_pow_inv_abar_le_1", "alpha in (0,1)", 1.0 - pa1)
     add("four_alpha_pow_le_1", "alpha in (0,1)", 1.0 - quad)

@@ -41,11 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    SINGULAR_DET,
     _channel_steps,
     _check_causal_kernel,
     _check_lumped_size,
     _check_pass_size,
+    _class_inverse,
     _divergences,
     _forward_pass,
     _lumped_channel,
@@ -289,13 +289,6 @@ def _newton_step(mat, p, q, d, value):
     return p / p.sum()
 
 
-def _stage_inverse(mat):
-    """W^-1 of a square stage matrix W with |det W| > SINGULAR_DET, else None."""
-    if mat.shape[0] != mat.shape[1] or abs(np.linalg.det(mat)) <= SINGULAR_DET:
-        return None
-    return np.linalg.inv(mat)
-
-
 def _stage_law(mat, bonus, max_iterations, start=None, inverse=None):
     """Input law maximizing sum_x p(x) [D(W(.|x) || W p) + bonus(x)], and the maximum (nats).
 
@@ -382,7 +375,7 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     # per state: lower is L_r, gap is U_r - L_r
     lower, gap, laws, support = np.zeros(len(classes)), np.zeros(len(classes)), [], 0.0
     solved = dict.fromkeys(mats, (None,))
-    inverses = {c: _stage_inverse(w) for c, w in mats.items()}
+    inverses = {c: _class_inverse(w) for c, w in mats.items()}
     for _ in range(n):
         solved = {
             c: _stage_law(w, lower @ w, cfg.max_iterations, solved[c][0], inverses[c])
@@ -546,6 +539,7 @@ def open_loop_match(spec, n, s0) -> MatchReport:
 
     clipped = np.maximum(raw, 0.0)
     clipped /= total
+    del raw, target  # 8 MiB each at n = 20, not held through the mutual information pass
     pmf = SequencePmf(2, n, _freeze(clipped))
     di_gap = abs(mutual_information_given_state(spec, n, s0, pmf) - n * sol.capacity_bits)
     passed = (

@@ -36,6 +36,9 @@ ENTRY_FLOOR = 1e-12
 PMF_SUM_TOL = 1e-9
 CONDITIONAL_ROW_TOL = 1e-12
 
+# Least weight, before normalizing, that random_policy draws for a symbol.
+POLICY_FLOOR = 0.05
+
 
 def sequence_index(seq, alphabet_size):
     """Lexicographic index of a symbol sequence, first symbol most significant."""
@@ -256,12 +259,12 @@ def _joint(input_kernel: CausalKernel, channel: CausalKernel):
     return channel.values * np.repeat(input_kernel.values.T, channel.out_alphabet, axis=0)
 
 
-def random_policy(out_alphabet, in_alphabet, n, delay, rng, low=0.05):
+def random_policy(out_alphabet, in_alphabet, n, delay, rng):
     """Random strictly positive StepPolicy, for tests and probing."""
     steps = []
     for i in range(1, n + 1):
         shape = (out_alphabet ** (i - 1), in_alphabet ** max(i - delay, 0), out_alphabet)
-        raw = rng.uniform(low, 1.0, size=shape)
+        raw = rng.uniform(POLICY_FLOOR, 1.0, size=shape)
         steps.append(raw / raw.sum(axis=-1, keepdims=True))
     return StepPolicy(out_alphabet, in_alphabet, n, delay, tuple(steps))
 

@@ -223,7 +223,7 @@ def test_criterion_8_property_suites():
             assert lhs >= rhs - 1e-12
 
         # supporting inequalities on parameter grids
-        report = inequality_sweep(200, slack=1e-12)
+        report = inequality_sweep(200)
         assert report.passed
         alphas = np.linspace(0.0, 1.0, 1001)[1:-1]
         pa1 = alphas ** (1.0 / (1.0 - alphas))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
+from signal import SIGKILL
 
 import pytest
 
@@ -197,6 +199,20 @@ def test_verify_construction_at_n20_is_pinned(family, want, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_verify_construction_at_n20_holds_one_level_at_a_time(capsys):
+    # its peak is the second open_loop_match's plus the first match's input;
+    # holding every level of both input chains peaked at 64.3 MiB
+    argv = ["verify", "construction", "--family", "post-ab", "--a", "0.9", "--b", "0.7", "--n", "20"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 50 * 2**20
+
+
 def test_table1_json_format(tmp_path):
     out = tmp_path / "table.json"
     code = main(
@@ -383,20 +399,118 @@ def test_map_over_cpus_matches_the_serial_map(child_signal):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_map_over_cpus_raises_a_childs_exception_and_reaps_it(child_signal):
+def test_map_over_cpus_solves_again_the_rows_a_child_raised_on(child_signal):
+    # the child raises and returns nothing: the caller solves its rows
     wait, signal = child_signal
     parent = os.getpid()
 
     def fn(item):
         if os.getpid() != parent:
             signal()
-            raise LookupError(f"row {item} failed")
+            raise LookupError(f"row {item} failed in a child")
         if item == 16:
             wait()
-        return item
+        return math.sqrt(item)
 
-    with pytest.raises(LookupError, match=r"^row (9|4) failed$"):
+    items = [16, 9, 4]
+    assert _map_over_cpus(fn, items) == {m: math.sqrt(m) for m in items}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_over_cpus_raises_the_rows_own_exception(child_signal):
+    # row 9 raises wherever it runs: first in the child, then in the caller
+    wait, signal = child_signal
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            signal()
+        elif item == 16:
+            wait()
+        if item == 9:
+            raise LookupError(f"row {item} failed")
+        return math.sqrt(item)
+
+    with pytest.raises(LookupError, match=r"^row 9 failed$"):
         _map_over_cpus(fn, [16, 9, 4])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_table1_solves_the_rows_of_a_child_killed_mid_row(child_signal, monkeypatch, tmp_path):
+    # a child that dies by a signal returns nothing: the caller solves its rows
+    wait, signal = child_signal
+    parent, solve = os.getpid(), postcap.cli.upper_bound
+
+    def upper_bound(spec, n, cfg, checked):
+        if os.getpid() != parent:
+            signal()
+            os.kill(os.getpid(), SIGKILL)
+        elif spec.m == 4:
+            wait()
+        return solve(spec, n, cfg, checked)
+
+    monkeypatch.setattr(postcap.cli, "upper_bound", upper_bound)
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--out", str(out)]) == 0
+    assert out.read_text() == TABLE1_DEFAULT_CSV
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_over_cpus_keeps_the_pid_of_a_fork_that_warns(child_signal, monkeypatch):
+    # Python >= 3.12 warns in the caller after forking while threads run;
+    # under -W error that warning would raise with the child's pid lost
+    wait, signal = child_signal
+    real_fork, parent, pids, solved_here = os.fork, os.getpid(), [], []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return pid
+
+    def fn(item):
+        if os.getpid() != parent:
+            signal()
+        else:
+            solved_here.append(item)
+            if item == 16:
+                wait()
+        return math.sqrt(item)
+
+    monkeypatch.setattr(os, "fork", fork)
+    items = [16, 9, 4, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _map_over_cpus(fn, items) == {m: math.sqrt(m) for m in items}
+    assert len(pids) == 1
+    # the child's rows came back over its pipe
+    assert len(solved_here) < len(items)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_map_over_cpus_kills_the_children_and_closes_the_pipes_when_the_caller_raises(child_signal):
+    wait, signal = child_signal
+    parent = os.getpid()
+
+    def fn(item):
+        if os.getpid() != parent:
+            signal()
+            time.sleep(60)
+        wait()
+        raise KeyError(item)
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with pytest.raises(KeyError):
+        _map_over_cpus(fn, [16, 9, 4])
+    assert time.monotonic() - start < 30
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -416,25 +530,23 @@ def test_map_over_cpus_with_one_cpu_never_forks(monkeypatch):
     assert forks == []
 
 
-@pytest.mark.parametrize("failure", ["oserror", "warning-after-fork"])
+@pytest.mark.parametrize("failure", ["oserror", "oserror-after-a-child"])
 def test_map_over_cpus_serves_the_rest_when_a_fork_fails(failure, child_signal, monkeypatch):
-    # Python >= 3.12 under -W error raises its fork-with-threads warning in
-    # the parent after the child exists: the child's results still come back
     wait, signal = child_signal
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    real_fork = os.fork
+    real_fork, forks = os.fork, []
 
     def fork():
-        if failure == "oserror":
+        forks.append(1)
+        if failure == "oserror" or len(forks) == 2:
             raise OSError("fork failed")
-        if real_fork() == 0:
-            return 0
-        raise DeprecationWarning("This process is multi-threaded, use of fork() may lead to deadlocks")
+        return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    fn = _in_parent_after_a_child(wait, signal) if failure != "oserror" else math.sqrt
+    fn = math.sqrt if failure == "oserror" else _in_parent_after_a_child(wait, signal)
     items = [16, 9, 4, 1]
     assert _map_over_cpus(fn, items) == {m: math.sqrt(m) for m in items}
+    assert len(forks) == (1 if failure == "oserror" else 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -232,7 +232,7 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
 
 def _iterative_solve(monkeypatch, spec, n, s0):
     """maximize_di_feedback(spec, n, s0, TIGHT) with no stage started from its closed form."""
-    monkeypatch.setattr(optimize, "_stage_inverse", lambda mat: None)
+    monkeypatch.setattr(optimize, "_class_inverse", lambda mat: None)
     solve = maximize_di_feedback(spec, n, s0, TIGHT)
     monkeypatch.undo()
     return solve
@@ -276,7 +276,7 @@ def test_binary_stages_certify_at_their_closed_form(spec, n, s0, monkeypatch):
 def test_stages_below_the_det_guard_iterate(monkeypatch):
     # |det W_s| = 1e-10 <= SINGULAR_DET: no closed form, the stages iterate as before
     spec = PostAlpha(1.0 - 1e-10)
-    assert all(optimize._stage_inverse(w) is None for w in spec.class_matrices.values())
+    assert all(optimize._class_inverse(w) is None for w in spec.class_matrices.values())
     (_, value, report), steps = _counted_solve(monkeypatch, spec, 4, 0)
     assert steps > 0
     assert report.passed
@@ -667,6 +667,18 @@ def test_oversized_lumped_channel_is_refused_when_called_directly(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_open_loop_match_frees_its_raw_input_and_target_before_the_mi_pass():
+    # the mutual information pass peaks at 32 MiB at n = 20; holding the raw
+    # input and the Markov target (8 MiB each) through it peaked at 56.2 MiB
+    tracemalloc.start()
+    try:
+        assert open_loop_match(PostAB(0.9, 0.7), 20, 0).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * 2**20
 
 
 def test_upper_bound_on_orbits_memory():
