@@ -2,10 +2,10 @@
 
 The binary families admit exact capacities, capacity-achieving pmfs and
 the transition probability of the symmetric Markov chain induced at the
-output.  The m-ary family's feedback capacity comes from a two-parameter
-stationary policy whose rate, a ratio, we maximize by Dinkelbach's
-fixed point.  closed_form_solution looks up the solution of a channel
-spec, so callers need not branch on its family.
+output.  The m-ary family's feedback capacity solves the average-reward
+Bellman equation on its two state classes: one quadratic or one cubic
+root.  closed_form_solution looks up the solution of a channel spec, so
+callers need not branch on its family.
 """
 
 import math
@@ -162,45 +162,37 @@ def mary_stationary_distribution(m, gamma, delta):
 
 
 def mary_feedback_capacity(m) -> MaryFeedbackSolution:
-    """Maximize the stationary-policy rate R = N / D over (gamma, delta) in [0,1]^2.
+    """C_fb of MaryPost(m), from the average-reward Bellman equation.
 
-    Dinkelbach's parametric step (Management Science 13(7), 1967): with
-    lambda = R at the current point, N - lambda D is concave in each
-    coordinate, and its maximizers have closed forms.  From gamma = delta =
-    1/2, each step sets
-        delta <- 1/2 - tanh(ln2 (lambda - lead(gamma)) / (1 + gamma)) / 2,
-        gamma <- max(0, -tanh(ln2 k / 2)),
-            k = log2(m) - 2 + (lambda - h(delta)) / delta,
-    the stationary point in delta and then the maximizer in gamma, and
-    then lambda <- R(gamma, delta).  N - lambda D >= 0 at the new point,
-    so the rate never decreases; the loop stops at the first step that
-    does not raise it and returns the point before that step.  Since
-    lead >= 0 and lambda <= log2(m + 1) <= 20 bits, delta stays above
-    2^-40.  Every step is scalar arithmetic on Python floats.  The fixed
-    point is not proven a global maximum; the tests check it against a
-    dense grid of an array-valued copy of the rate.
+    lambda + h(s) = max_p [I(p; W_s) + sum_y (W_s p)(y) h(y)] (Chen &
+    Berger, IEEE T-IT 51(3), 2005); a bounded solution h proves lambda =
+    C_fb from every start state (Puterman, Markov Decision Processes,
+    8.4).  h is constant below m, where the inputs below m are
+    exchangeable; let u = 2^(h(m) - h(0)).  State m picks delta = p(m):
+    lambda = log2(1 + 1/u) at delta = 1/(1 + u).  Below m, lambda is the
+    maximum of the concave lead(gamma) + (1 + gamma) log2(u) / 2, at gamma
+    = max(0, (4u - m) / (4u + m)).  For m <= 4, lambda = log2(u + m/4)
+    with u the positive root of u^2 + (m/4 - 1) u - 1.  For m >= 4 gamma
+    = 0, lambda = log2(m u) / 2 and t = sqrt(u) is the one positive root
+    of sqrt(m) t^3 - t^2 - 1 (Cardano).  Both give u = 1 at m = 4.  The
+    sign of 4u - m is the face's KKT condition, and gamma is computed from
+    it, so no separate check is needed.  capacity_bits is the rate of the
+    stationary policy (gamma, delta), which attains lambda.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    _check_entries("stationary law", m + 1)  # before the iteration, whose bounds assume it
-    ln2 = math.log(2.0)
-    g = d = 0.5
-    rate = _mary_rate(m, g, d)
-    while True:
-        d_new = 0.5 - 0.5 * math.tanh(ln2 * (rate - _mary_lead(m, g)) / (1.0 + g))
-        k = math.log2(m) - 2.0 + (rate - binary_entropy(d_new)) / d_new
-        g_new = max(0.0, -math.tanh(0.5 * ln2 * k))
-        rate_new = _mary_rate(m, g_new, d_new)
-        if rate_new <= rate:
-            break
-        g, d, rate = g_new, d_new, rate_new
-    return MaryFeedbackSolution(
-        m=m,
-        gamma_star=g,
-        delta_star=d,
-        capacity_bits=rate,
-        stationary_pi=mary_stationary_distribution(m, g, d),
-    )
+    if m <= 4:
+        b = 0.25 * m - 1.0
+        u = 2.0 / (b + math.sqrt(b * b + 4.0))
+    else:
+        # t^3 - a t^2 - a with a = 1/sqrt(m); t = s + a/3 gives s^3 + p s + q,
+        # with p = -a^2/3 < 0, and s = w - p / (3w) adds two positive terms
+        a = 1.0 / math.sqrt(m)
+        w = (a**3 / 27.0 + 0.5 * a + math.sqrt(a**4 / 27.0 + 0.25 * a * a)) ** (1.0 / 3.0)
+        u = (a / 3.0 + w + a * a / (9.0 * w)) ** 2
+    g = max(0.0, (4.0 * u - m) / (4.0 * u + m))
+    d = 1.0 / (1.0 + u)
+    return MaryFeedbackSolution(m, g, d, _mary_rate(m, g, d), mary_stationary_distribution(m, g, d))
 
 
 def mary_scheme_rate(m) -> float:

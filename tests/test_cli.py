@@ -41,6 +41,23 @@ def test_capacity_numeric_check(capsys):
         assert "numeric_gap:" in out
 
 
+@pytest.mark.parametrize("m, n, s0", [(1, 3, 0), (2, 3, 0), (1, 3, 1), (3, 2, 0)])
+def test_mary_numeric_check_allows_the_horizon_slack(m, n, s0, capsys):
+    # the n-use value per use is within span(h) / n of the capacity, not equal to it
+    argv = ["capacity", "mary", "--m", str(m), "--n", str(n), "--s0", str(s0), "--numeric-check"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "horizon_slack:" in out and "kkt_passed: True" in out
+
+
+def test_numeric_check_slack_is_zero_where_h_is_flat(capsys):
+    assert main(["capacity", "mary", "--m", "4", "--n", "3", "--tol", "0", "--numeric-check"]) == 1
+    assert "horizon_slack: 0.000e+00" in capsys.readouterr().out
+    assert main(["capacity", "post-alpha", "--alpha", "0.5", "--n", "2", "--numeric-check"]) == 0
+    assert "horizon_slack: 0.000e+00" in capsys.readouterr().out
+
+
 def test_capacity_rejects_bad_parameter():
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "post-alpha", "--alpha", "1.5"])

@@ -18,6 +18,7 @@ from postcap import (
     closed_form_solution,
     entropy,
     kkt_check,
+    maximize_di_feedback,
     mary_feedback_capacity,
     mary_output_chain,
     mary_scheme_rate,
@@ -26,13 +27,14 @@ from postcap import (
     step_kernel,
 )
 
-from postcap.closed_form import DEGENERATE_EPS
+from postcap.channels import DENSE_ENTRY_CAP
+from postcap.closed_form import DEGENERATE_EPS, _mary_lead, _mary_rate
 
 from dense_reference import binary_dmc_capacity_reference, iid_state_example, open_loop_kernel
 
 # -- array-valued grid oracle of the m-ary rate ---------------------------------
 # The rate on numpy arrays, for grid searches: an oracle independent of the
-# scalar Dinkelbach loop in mary_feedback_capacity.
+# closed-form roots in mary_feedback_capacity.
 
 
 def _h2(p):
@@ -277,8 +279,8 @@ def _mary_meshgrid_search(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 100, 1000, 1024])
 def test_mary_axis_search_equals_meshgrid_search(m):
-    # the fixed point against the grid search it replaced; both are limited
-    # by the flatness of the rate at its top, so the argmax agrees to 1e-7
+    # the Bellman solution against a grid search; the search is limited by
+    # the flatness of the rate at its top, so the argmax agrees to 1e-7
     sol = mary_feedback_capacity(m)
     g, d, cap, _ = _mary_meshgrid_search(m)
     assert abs(sol.capacity_bits - cap) <= 1e-14
@@ -288,7 +290,7 @@ def test_mary_axis_search_equals_meshgrid_search(m):
 
 
 def test_mary_capacity_is_the_oracle_rate_at_its_point():
-    # the scalar loop's rate is the array oracle's, bit for bit, on every row
+    # the scalar rate is the array oracle's, bit for bit, on every row
     # of the benchmark's m range
     for m in range(1, 1025):
         sol = mary_feedback_capacity(m)
@@ -310,6 +312,82 @@ def test_mary_capacity_finite_at_stationary_law_cap():
     assert math.isfinite(sol.capacity_bits) and 0.0 < sol.capacity_bits <= 20.0
     with pytest.raises(ValueError):
         mary_feedback_capacity(2**20)
+
+
+MARY_BELLMAN_MS = [*range(1, 1025), 2**20 - 1]
+
+
+def _dinkelbach_oracle(m):
+    """(gamma, delta, rate) of the scalar Dinkelbach loop, an oracle for the m-ary rate.
+
+    Dinkelbach's parametric step (Management Science 13(7), 1967): from
+    gamma = delta = 1/2, take the stationary point in delta and then the
+    maximizer in gamma of N - lambda D, with lambda the current rate, and
+    stop at the first step that does not raise the rate.
+    """
+    ln2 = math.log(2.0)
+    g = d = 0.5
+    rate = _mary_rate(m, g, d)
+    while True:
+        d_new = 0.5 - 0.5 * math.tanh(ln2 * (rate - _mary_lead(m, g)) / (1.0 + g))
+        k = math.log2(m) - 2.0 + (rate - binary_entropy(d_new)) / d_new
+        g_new = max(0.0, -math.tanh(0.5 * ln2 * k))
+        rate_new = _mary_rate(m, g_new, d_new)
+        if rate_new <= rate:
+            return g, d, rate
+        g, d, rate = g_new, d_new, rate_new
+
+
+def test_mary_capacity_equals_the_dinkelbach_oracle():
+    for m in MARY_BELLMAN_MS:
+        got = mary_feedback_capacity(m).capacity_bits
+        want = _dinkelbach_oracle(m)[2]
+        assert abs(got - want) <= 2e-15, m
+        assert f"{got:.6f}" == f"{want:.6f}", m
+
+
+def test_mary_solution_solves_the_bellman_equation():
+    # h(0) = 0 and h(m) = log2 u: lambda + h(s) is the stage maximum at both classes
+    grid = np.linspace(0.0, 1.0, 10001)
+    h_grid = _h2(0.5 * (1.0 + grid))
+
+    def below_m(m, gamma, h_half, log2u):
+        """lead(gamma) + (1 + gamma) log2(u) / 2 on arrays, h_half = h((1 + gamma) / 2)."""
+        lead = 0.5 * (1.0 - gamma) * math.log2(m) + h_half - (1.0 - gamma)
+        return lead + 0.5 * (1.0 + gamma) * log2u
+
+    for m in MARY_BELLMAN_MS:
+        sol = mary_feedback_capacity(m)
+        lam, g, d = sol.capacity_bits, sol.gamma_star, sol.delta_star
+        u = 1.0 / d - 1.0
+        log2u = math.log2(u)
+        # state m: lambda + log2 u = max_delta [h(delta) + (1 - delta) log2 u] = log2(1 + u)
+        assert abs(lam + log2u - math.log2(1.0 + u)) <= 1e-14, m
+        assert abs(binary_entropy(d) + (1.0 - d) * log2u - lam - log2u) <= 1e-14, m
+        # below m: lambda is the stage value at gamma*, and no grid point beats it
+        at = below_m(m, np.array([g]), _h2([0.5 * (1.0 + g)]), log2u)[0]
+        assert abs(at - lam) <= 1e-14, m
+        assert below_m(m, grid, h_grid, log2u).max() <= at + 1e-15, m
+        # the face gamma = 0 and its KKT condition 4u <= m
+        if m >= 4:
+            assert g == 0.0 and 4.0 * u <= m, m
+        else:
+            assert g > 0.0 and u > m / 4.0, m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_feedback_solver_lies_in_the_bellman_horizon_bracket(m):
+    # T^n h = n lambda + h and T(h + c) = T h + c, so from h - max h <= 0 <= h - min h:
+    # n lambda + h(s0) - max h <= V_n(s0) <= n lambda + h(s0) - min h
+    sol = mary_feedback_capacity(m)
+    h = {0: 0.0, m: math.log2(1.0 / sol.delta_star - 1.0)}
+    for n in range(1, 5):
+        if (m + 1) ** (2 * n - 1) > DENSE_ENTRY_CAP:
+            continue
+        for s0 in (0, m):
+            _, _, report = maximize_di_feedback(MaryPost(m), n, s0)
+            assert report.lower_bits >= n * sol.capacity_bits + h[s0] - max(h.values()) - 1e-9
+            assert report.upper_bits <= n * sol.capacity_bits + h[s0] - min(h.values()) + 1e-9
 
 
 def test_mary_objective_on_axes_equals_meshgrid():
