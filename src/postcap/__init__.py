@@ -69,7 +69,6 @@ from .probability import (
     binary_entropy,
     compose_causal,
     entropy,
-    index_sequence,
     random_policy,
     sequence_index,
 )

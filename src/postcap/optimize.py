@@ -28,11 +28,13 @@ U_r from the same stage laws: Arimoto's inequality bounds every stage
 problem by the largest divergence plus bonus at any law, and the bonus
 is monotone in the values of the next stage, so by induction U_n(s0)
 bounds the n-stage optimum and [L_n(s0), U_n(s0)] is a proven interval
-(see maximize_di_feedback).  kkt_check is the independent dense
-cross-check of any causal kernel: a first-order report with one
-multiplier per output context, in nats from one log pass over the dense
-|Y|^n x |X|^n channel's output law; the implied capacity (sum of
-multipliers plus one) is in bits.
+(see _feedback_stages, which runs that DP on relative values and holds
+only the n stage laws: the CLI's feedback checks read its interval and
+nothing else).  kkt_check is an independent
+dense cross-check of any causal kernel, for the library: a first-order
+report with one multiplier per output context, in nats from one log
+pass over the dense |Y|^n x |X|^n channel's output law; the implied
+capacity (sum of multipliers plus one) is in bits.
 """
 
 import math
@@ -43,8 +45,10 @@ import numpy as np
 from .channels import (
     _channel_steps,
     _check_causal_kernel,
+    _check_entries,
     _check_lumped_size,
     _check_pass_size,
+    _check_start,
     _class_inverse,
     _divergences,
     _forward_pass,
@@ -52,6 +56,7 @@ from .channels import (
     build_sequence_kernel,
     initial_states,
     input_alphabet,
+    output_alphabet,
 )
 from .closed_form import closed_form_solution
 from .construction import _open_loop_input, _output_state_policy, output_markov_pmf
@@ -332,26 +337,32 @@ def _stage_law(mat, bonus, max_iterations, start=None, inverse=None):
     return law, value, d
 
 
-def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
-    """Maximize directed information over causal input kernels.
+def _feedback_stages(spec, n, s0, cfg):
+    """The feedback DP over the output state: (stage laws, value in bits, FeedbackReport).
 
-    Returns (kernel, value in bits, FeedbackReport).  The kernel is the
-    DP's Markov policy: in state s = y_(i-1), r stages before the end, x
-    is drawn from the law p_r that _stage_law finds for (one problem per
-    state class)
+    The laws are the DP's Markov policy: laws[i - 1][s] is the law of
+    x_i in state s = y_(i-1), with y_0 = s0.  r stages before the end it
+    is the law p_r that _stage_law finds for (one problem per state class)
     max_p sum_x p(x) [D(W_s(.|x) || W_s p) + sum_y W_s(y|x) L_(r-1)(y)],
     and L_r(s), the sum at p = p_r (L_0 = 0), is the value of the
     policy's last r stages: the value returned, L_n(s0) / ln 2, is the
-    policy's own directed information.  The stage laws converge to the stationary feedback
-    policy as r grows, so the first stage starts from the uniform law and
-    each later one starts Newton steps from the previous stage's law of
-    its class (see _stage_law: Blahut-Arimoto could not readmit an input
-    that law holds at 0).  A class whose matrix is square with |det| >
-    SINGULAR_DET is inverted once per solve, and each of its stages
-    starts instead from the stage's closed-form stationary point when
-    that is a law (see _stage_law).  A stage whose optimal law gives
-    every input positive mass, as every PostAlpha and PostAB stage tried
-    does, then certifies at its first evaluation.
+    policy's own directed information.  The stage laws converge to the
+    stationary feedback policy as r grows, so the first stage starts from
+    the uniform law and each later one starts Newton steps from the
+    previous stage's law of its class (see _stage_law: Blahut-Arimoto
+    could not readmit an input that law holds at 0).  A class whose
+    matrix is square with |det| > SINGULAR_DET is inverted once per
+    solve, and each of its stages starts instead from the stage's
+    closed-form stationary point when that is a law (see _stage_law).  A
+    stage whose optimal law gives every input positive mass, as every
+    PostAlpha and PostAB stage tried does, then certifies at its first
+    evaluation.
+
+    The values are relative: after each stage their least moves into a
+    scalar offset, and L_n(s0) is lower[s0] + offset.  A constant bonus
+    moves no stage law, since every column of W_s sums to 1.  Absolute
+    values reach about 1e4 nats at n = 40,000, and the stationary starts
+    then stop certifying within STAGE_GAP.
 
     The report's upper side is, with U_0 = 0,
     U_r(s) = max_x [D(W_s(.|x) || W_s p_r) + sum_y W_s(y|x) U_(r-1)(y)].
@@ -364,32 +375,48 @@ def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
     L_n(s0) <= V_n(s0) <= U_n(s0).  The recursion runs on U_r - L_r,
     clamped at 0 (which only raises the bound), and the report passes
     when U_n(s0) - L_n(s0) <= cfg.kkt_tolerance nats; a budget stop
-    shows as a wide interval.  No sequence-level channel is built: a
-    composed kernel above DENSE_ENTRY_CAP entries, |X|^n |Y|^(n-1),
-    raises before the first stage.  cfg.initialization and cfg.seed are
-    not read.
+    shows as a wide interval.  The laws' n |Y| |X| entries are all that
+    is held: above DENSE_ENTRY_CAP they raise before spec.class_matrices
+    is read.  cfg.initialization and cfg.seed are not read.
     """
-    cfg = cfg or OptimizerConfig()
-    _check_causal_kernel(spec, n, s0)
+    _check_start(spec, n, s0)
+    _check_entries("feedback stage laws", n * output_alphabet(spec) * input_alphabet(spec))
     classes, mats = spec.state_classes, spec.class_matrices
-    # per state: lower is L_r, gap is U_r - L_r
-    lower, gap, laws, support = np.zeros(len(classes)), np.zeros(len(classes)), [], 0.0
+    # per state: lower is L_r - offset, gap is U_r - L_r
+    lower, gap, offset, support = np.zeros(len(classes)), np.zeros(len(classes)), 0.0, 0.0
+    laws = np.empty((n, len(classes), input_alphabet(spec)))
     solved = dict.fromkeys(mats, (None,))
     inverses = {c: _class_inverse(w) for c, w in mats.items()}
-    for _ in range(n):
+    for i in range(n - 1, -1, -1):
         solved = {
             c: _stage_law(w, lower @ w, cfg.max_iterations, solved[c][0], inverses[c])
             for c, w in mats.items()
         }
         gaps = {c: max(0.0, float((d + gap @ mats[c]).max()) - v) for c, (_, v, d) in solved.items()}
         support = max(support, *(v - float(d[p > 0].min()) for p, v, d in solved.values()))
-        lower = np.array([solved[c][1] for c in classes])
+        values = np.array([solved[c][1] for c in classes])
+        lower, offset = values - values.min(), offset + float(values.min())
         gap = np.array([gaps[c] for c in classes])
-        laws.insert(0, np.array([solved[c][0] for c in classes]))
-    kernel = compose_causal(_output_state_policy(laws, s0))
-    value, width, tol = float(lower[s0]), float(gap[s0]), cfg.kkt_tolerance
+        laws[i] = [solved[c][0] for c in classes]
+    value, width, tol = float(lower[s0]) + offset, float(gap[s0]), cfg.kkt_tolerance
     report = FeedbackReport(value / LN2, (value + width) / LN2, width <= tol, tol, width, support)
-    return kernel, value / LN2, report
+    return laws, value / LN2, report
+
+
+def maximize_di_feedback(spec, n, s0, cfg: OptimizerConfig = None):
+    """Maximize directed information over causal input kernels.
+
+    Returns (kernel, value in bits, FeedbackReport).  The DP lives in
+    _feedback_stages, which carries relative values; the kernel is its
+    stage laws composed into the policy's causal kernel.  No
+    sequence-level channel is built: a composed kernel above
+    DENSE_ENTRY_CAP entries, |X|^n |Y|^(n-1), raises before the first
+    stage.  cfg.initialization and cfg.seed are not read.
+    """
+    cfg = cfg or OptimizerConfig()
+    _check_causal_kernel(spec, n, s0)
+    laws, value, report = _feedback_stages(spec, n, s0, cfg)
+    return compose_causal(_output_state_policy(laws, s0)), value, report
 
 
 def _over_relaxed_ba(divergences_of, p, cfg):

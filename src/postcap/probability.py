@@ -50,17 +50,6 @@ def sequence_index(seq, alphabet_size):
     return idx
 
 
-def index_sequence(index, alphabet_size, n):
-    """Inverse of sequence_index; returns a tuple of n symbols."""
-    if not 0 <= index < alphabet_size**n:
-        raise ValueError("index out of range")
-    out = []
-    for _ in range(n):
-        index, r = divmod(index, alphabet_size)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def _freeze(a):
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -111,10 +100,6 @@ class SequencePmf:
             # small negatives are rounding noise; clamp once at construction
             object.__setattr__(self, "values", _freeze(np.maximum(v, 0.0)))
 
-    def as_array(self):
-        """Values reshaped to one axis per position."""
-        return self.values.reshape((self.alphabet_size,) * self.n)
-
     def entry(self, seq):
         return float(self.values[sequence_index(seq, self.alphabet_size)])
 
@@ -154,14 +139,6 @@ class SequencePmf:
         v = rows[:, 0] + rows[:, 1] if tail > 1 else rows[:, 0].copy()
         for j in range(2, tail):
             v += rows[:, j]
-        return SequencePmf(k, i, _freeze(v))
-
-    def suffix_marginal(self, i):
-        """Marginal pmf of the last i symbols."""
-        if not 0 <= i <= self.n:
-            raise ValueError("suffix length out of range")
-        k = self.alphabet_size
-        v = self.values.reshape(k ** (self.n - i), k**i).sum(axis=0)
         return SequencePmf(k, i, _freeze(v))
 
 

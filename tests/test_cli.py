@@ -13,7 +13,7 @@ import pytest
 
 import postcap.cli
 from postcap.cli import _map_over_cpus, main
-from postcap.optimize import KktReport
+from postcap.optimize import FeedbackReport
 
 
 def test_capacity_post_alpha(capsys):
@@ -37,7 +37,7 @@ def test_capacity_numeric_check(capsys):
         code = main(["capacity", *target, "--numeric-check"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "kkt_passed: True" in out
+        assert "certified: True" in out
         assert "numeric_gap:" in out
 
 
@@ -48,7 +48,7 @@ def test_mary_numeric_check_allows_the_horizon_slack(m, n, s0, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert "horizon_slack:" in out and "kkt_passed: True" in out
+    assert "horizon_slack:" in out and "certified: True" in out
 
 
 def test_numeric_check_slack_is_zero_where_h_is_flat(capsys):
@@ -587,15 +587,77 @@ def test_verify_inequalities(capsys):
 def test_verify_kkt(capsys):
     assert main(["verify", "kkt", "--family", "post-alpha", "--alpha", "0.3", "--n", "3"]) == 0
     out = capsys.readouterr().out
-    assert "kkt/kkt_certificate" in out
+    assert "kkt/interval_width" in out
     assert "result: pass" in out
 
 
-def test_verify_kkt_margin_includes_offsupport_violation(monkeypatch, capsys):
-    report = KktReport({}, 0.0, 3.5e-3, 0.0, 0.3, False, 1e-7)
-    monkeypatch.setattr(postcap.cli, "kkt_check", lambda *args: report)
+def test_a_wide_interval_fails_both_feedback_checks(monkeypatch, capsys):
+    # the DP's proven interval is the one certificate: its width is the margin
+    # the value is n times the closed form, so only the certificate can fail
+    value = 3 * postcap.closed_form.post_alpha_capacity(0.3).capacity_bits
+    report = FeedbackReport(value, value + 3.5e-3 / math.log(2.0), False, 1e-7, 3.5e-3, 0.0)
+    monkeypatch.setattr(postcap.cli, "_feedback_stages", lambda *args: (None, value, report))
     assert main(["verify", "kkt", "--alpha", "0.3", "--n", "3"]) == 1
-    assert "kkt/kkt_certificate: margin=3.500000e-03 FAIL" in capsys.readouterr().out
+    assert "kkt/interval_width: margin=3.500000e-03 FAIL" in capsys.readouterr().out
+    assert main(["capacity", "post-alpha", "--alpha", "0.3", "--n", "3", "--numeric-check"]) == 1
+    out = capsys.readouterr().out
+    assert "certified: False" in out and "interval_width_nats: 3.500e-03" in out
+
+
+def test_feedback_checks_build_no_kernel_and_no_dense_channel(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a feedback check built a kernel, a dense channel or a dense certificate")
+
+    monkeypatch.setattr(postcap.channels, "_block_matrix", refuse)
+    monkeypatch.setattr(postcap.optimize, "kkt_check", refuse)
+    monkeypatch.setattr(postcap.optimize, "compose_causal", refuse)
+    for argv in (
+        ["capacity", "post-ab", "--a", "0.9", "--b", "0.7", "--numeric-check", "--n", "10"],
+        ["capacity", "mary", "--m", "4", "--numeric-check", "--n", "4"],
+        ["verify", "kkt", "--family", "post-ab", "--a", "0.6", "--b", "0.5", "--n", "10"],
+    ):
+        assert main(argv) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one stage above the old dense cross-check's horizons
+        ["capacity", "post-ab", "--a", "0.9", "--b", "0.7", "--numeric-check", "--n", "11"],
+        ["capacity", "mary", "--m", "4", "--numeric-check", "--n", "5"],
+        ["verify", "kkt", "--family", "post-alpha", "--alpha", "0.3", "--n", "11"],
+        # the horizon slack is 5.3e-5 here, below the default --tol
+        ["capacity", "mary", "--m", "1", "--numeric-check", "--n", "10000"],
+    ],
+)
+def test_feedback_checks_run_past_the_old_horizon_cap(argv, capsys):
+    assert main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_oversized_feedback_check_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "mary", "--m", "1023", "--numeric-check", "--n", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert peak < 2**20
+    assert "feedback stage laws would hold" in capsys.readouterr().err
+
+
+def test_largest_mary_numeric_check_exits_2_before_a_class_matrix(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a class matrix was built")
+
+    monkeypatch.setattr(postcap.channels.MaryPost, "class_matrices", property(refuse))
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "mary", "--m", "1048575", "--numeric-check"])
+    assert exc.value.code == 2
+    assert "feedback stage laws would hold" in capsys.readouterr().err
 
 
 def test_verify_concavity(capsys):

@@ -51,7 +51,7 @@ def test_markov_pmf_conditionals_are_state_symmetric():
     delta = 0.3
     n = 4
     for s0 in (0, 1):
-        arr = output_markov_pmf(delta, n, s0).as_array()
+        arr = output_markov_pmf(delta, n, s0).values
         # p(y_n | y^{n-1}) depends on y_{n-1} only
         joint = arr.reshape(-1, 2, 2).sum(axis=0)  # (y_{n-1}, y_n)
         cond = joint / joint.sum(axis=1, keepdims=True)
@@ -92,11 +92,11 @@ def test_recursive_input_suffix_marginal_is_state_blend():
     # the last-symbol marginal is the per-state law averaged over the
     # output chain, not the single-letter law itself: the process mixes
     # away from its initial state
-    pmf = recursive_input_alpha(0.5, 2, 0)
-    assert pmf.suffix_marginal(1).values == approx([0.56, 0.44], abs=1e-14)
+    last = recursive_input_alpha(0.5, 2, 0).values.reshape(2, 2).sum(axis=0)
+    assert last == approx([0.56, 0.44], abs=1e-14)
     p0 = recursive_input_alpha(0.5, 1, 0).values
     p1 = recursive_input_alpha(0.5, 1, 1).values
-    assert pmf.suffix_marginal(1).values == approx(0.8 * p0 + 0.2 * p1, abs=1e-14)
+    assert last == approx(0.8 * p0 + 0.2 * p1, abs=1e-14)
 
 
 def test_recursive_input_matches_linear_solve():
@@ -147,10 +147,9 @@ def test_recursive_input_ab_base_case_formula():
 
 def test_recursive_input_ab_symmetric_channel():
     pmf = recursive_input_ab(0.8, 0.8, 6, 0)
-    for i in (1, 2):
-        marg = pmf.suffix_marginal(i) if i == 1 else pmf.prefix_marginal(i)
-        # symmetric parameters give a symbol-balanced marginal
-        assert marg.values.reshape(-1)[0] == approx(marg.values.reshape(-1)[-1], abs=1e-12)
+    # symmetric parameters give symbol-balanced marginals: the last symbol's and the first two's
+    for marg in (pmf.values.reshape(-1, 2).sum(axis=0), pmf.prefix_marginal(2).values):
+        assert marg[0] == approx(marg[-1], abs=1e-12)
     assert pmf.prefix_marginal(1).values == approx([0.5, 0.5], abs=1e-12)
 
 
@@ -254,7 +253,7 @@ def test_open_loop_pmfs_adopt_their_arrays(spec, monkeypatch):
     monkeypatch.setattr(construction, "_vector_level_row", recorded)
     assert _open_loop_input(spec, 6, 0).values is rows[-1]
     pmf = open_loop_match(spec, 6, 1).input_pmf
-    for marginal in (pmf, pmf.prefix_marginal(2), pmf.prefix_marginal(6), pmf.suffix_marginal(3)):
+    for marginal in (pmf, pmf.prefix_marginal(2), pmf.prefix_marginal(6)):
         assert marginal.values.base is None and not marginal.values.flags.writeable
     for coeffs in (_input_coeffs(spec), np.array([np.diag(c) for c in _output_chain(0.2).T])):
         row = _vector_level_row(coeffs, 5, 1)

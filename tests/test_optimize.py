@@ -34,7 +34,7 @@ from postcap import (
     upper_bound,
 )
 from postcap import channels, optimize
-from postcap.channels import SingularChannelError
+from postcap.channels import DENSE_ENTRY_CAP, SingularChannelError
 from postcap.construction import _input_levels
 from postcap.probability import LN2
 
@@ -216,7 +216,8 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
     """The feedback DP with every stage from the uniform law.
 
     Returns the stage values (nats) in solve order and the value (bits) of
-    the composed policy.
+    the composed policy.  Like the solver, it carries relative values: the
+    least value is subtracted after each stage, which moves no stage law.
     """
     classes, mats = spec.state_classes, spec.class_matrices
     values, laws, stages = np.zeros(len(classes)), [], []
@@ -224,6 +225,7 @@ def _cold_start_solve(stage_law, spec, n, s0, cfg):
         solved = {c: stage_law(w, values @ w, cfg.max_iterations) for c, w in mats.items()}
         stages.extend(solved[c][1] for c in mats)
         values = np.array([solved[c][1] for c in classes])
+        values -= values.min()
         laws.insert(0, np.array([solved[c][0] for c in classes]))
     kernel = compose_causal(output_state_policy(laws, s0))
     channel = build_sequence_kernel(spec, n, s0).kernel
@@ -306,6 +308,62 @@ def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
         assert not any(warm[:first]) and all(warm[first:])
         assert np.abs(np.array(stages) - want_stages).max() / math.log(2.0) <= 1e-12
         assert abs(value - want_value) <= 1e-12
+
+
+def _two_class_values(m, n):
+    """Exact n-use feedback values of MaryPost(m) from states 0 and m (bits), by the two-class recursion.
+
+    V = 0 at the start and d = V(m) - V(0).  From state m an input below m
+    gives m and input m gives 0, noiselessly: V(m) <- V(0) + log2(1 + 2^d).
+    Below m the best stage is V(0) + log2(2^d + m/4) when 2^d >= m/4, else
+    V(0) + 1 + (d + log2 m - 2)/2.  The recursion runs on V(0) and d, since
+    2^V overflows at m = 16, n = 1000.
+    """
+    base, d = 0.0, 0.0
+    for _ in range(n):
+        top = math.log2(1.0 + 2.0**d)
+        if 2.0**d >= m / 4.0:
+            below = math.log2(2.0**d + m / 4.0)
+        else:
+            below = 1.0 + (d + math.log2(m) - 2.0) / 2.0
+        base, d = base + below, top - below
+    return {0: base, m: base + d}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16])
+def test_feedback_stages_equal_the_two_class_recursion(m):
+    for n in (1, 2, 3, 10, 100, 1000):
+        want = _two_class_values(m, n)
+        for s0 in (0, m):
+            _, value, report = optimize._feedback_stages(MaryPost(m), n, s0, TIGHT)
+            assert report.passed
+            assert abs(value - want[s0]) / n <= 1e-12, (n, s0)
+
+
+def test_long_horizon_stages_certify_at_their_closed_form(monkeypatch):
+    # relative stage values keep every stationary start within STAGE_GAP:
+    # with absolute values near 1e4 nats, this solve took 295k Newton steps
+    steps, ba, newton = [], optimize._ba_step, optimize._newton_step
+    monkeypatch.setattr(optimize, "_ba_step", lambda *args: steps.append(1) or ba(*args))
+    monkeypatch.setattr(optimize, "_newton_step", lambda *args: steps.append(1) or newton(*args))
+    laws, value, report = optimize._feedback_stages(PostAlpha(0.3), 40000, 0, TIGHT)
+    assert steps == []
+    assert report.passed
+    assert laws.shape == (40000, 2, 2)
+    assert value / 40000 == approx(post_alpha_capacity(0.3).capacity_bits, abs=1e-12)
+
+
+def test_feedback_stages_size_guard_admits_exactly_the_cap(monkeypatch):
+    # n |Y| |X| stage-law entries: 2^18 binary stages hold DENSE_ENTRY_CAP
+    def first_stage(*args, **kwargs):
+        raise LookupError("the first stage ran")
+
+    monkeypatch.setattr(optimize, "_stage_law", first_stage)
+    assert 2**18 * 2 * 2 == DENSE_ENTRY_CAP
+    with pytest.raises(LookupError):
+        optimize._feedback_stages(PostAlpha(0.5), 2**18, 0, TIGHT)
+    with pytest.raises(ValueError, match="feedback stage laws would hold"):
+        optimize._feedback_stages(PostAlpha(0.5), 2**18 + 1, 0, TIGHT)
 
 
 def test_upper_bound_tracks_value():
