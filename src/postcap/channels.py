@@ -468,7 +468,9 @@ class _LumpedChannel:
     ln |O_Y|, so D_X = base_X - sum_Y A[Y, X] ln Q_Y.  Input orbits are
     numbered by the rank of their code, with sizes |O|; rows numbers only
     the orbits some nonzero reaches, by the rank of their code among
-    those, with log_sizes ln |O_Y|.
+    those, with log_sizes ln |O_Y|.  _merge_equal_columns returns the
+    same object on classes of input orbits: cols, counts, base and sizes
+    are then per class, and the rows are unchanged.
     """
 
     rows: np.ndarray
@@ -553,6 +555,89 @@ def _lumped_channel(spec, n, s0, checked=None):
         np.bincount(cols, prob * (np.log(prob) + log_sizes[rows]), minlength=len(sizes)),
         sizes,
         log_sizes,
+    )
+
+
+def _equal_entries(rows, values, starts, counts, orbits, leaders):
+    """Whether each orbit's nonzeros equal its leader's, place by place.
+
+    rows and values hold every orbit's nonzeros in one canonical order,
+    orbit X's at starts[X] onwards; each orbit has as many as its leader.
+    """
+    same = orbits == leaders
+    orbits, leaders = orbits[~same], leaders[~same]
+    if len(orbits):
+        c = counts[orbits]
+        ends = np.cumsum(c)
+        at = np.repeat(starts[orbits] - ends + c, c) + np.arange(ends[-1])
+        other = np.repeat(starts[leaders] - starts[orbits], c)
+        other += at
+        differ = rows[at] != rows[other]
+        differ |= values[at] != values[other]
+        del at, other
+        same[~same] = ~np.logical_or.reduceat(differ, ends - c)
+    return same
+
+
+def _column_digests(channel, starts):
+    """Per input orbit, a wrapping sum of one mixed 64-bit word per (row, value) nonzero."""
+    words = channel.rows.astype(np.uint64)
+    words *= np.uint64(0x9E3779B97F4A7C15)
+    words ^= channel.values.view(np.uint64)
+    words *= np.uint64(0xBF58476D1CE4E5B9)
+    words ^= words >> np.uint64(31)
+    return np.add.reduceat(words, starts)
+
+
+def _merge_equal_columns(channel):
+    """(The _LumpedChannel on classes of input orbits with equal columns, the class of each orbit).
+
+    A class is a set of orbits whose (row, value) nonzeros are equal as
+    multisets, so every sequence of the class has the same output law
+    and, at any law, the same divergence.  A 64-bit digest of each
+    orbit's nonzeros, a wrapping sum and so independent of their order,
+    only groups candidates; each candidate is confirmed entry by entry
+    against its group's lowest orbit, in the order (row, value), and the
+    orbits that differ from it group again among themselves.  A class
+    keeps its lowest orbit's nonzeros in their stored order and its
+    base, and the summed sizes of its orbits.  Classes are numbered in
+    the order of their lowest orbits.  No array holds more entries than
+    the channel has nonzeros, and the sorted copies of the nonzeros are
+    freed before the merged channel is built.
+    """
+    counts = channel.counts
+    starts = np.cumsum(counts) - counts
+    digest = _column_digests(channel, starts)
+    order = np.lexsort((channel.values, channel.rows, channel.cols))
+    rows = channel.rows.astype(np.int32)[order]
+    values = channel.values[order]
+    del order
+    # orbits with equal counts and digests side by side, the lowest first
+    pending = np.lexsort((digest, counts))
+    leader = np.arange(len(counts))
+    while len(pending):
+        c, d = counts[pending], digest[pending]
+        first = np.ones(len(pending), bool)
+        first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
+        leaders = pending[first][np.cumsum(first) - 1]
+        same = _equal_entries(rows, values, starts, counts, pending, leaders)
+        leader[pending[same]] = leaders[same]
+        pending = pending[~same]
+    del rows, values
+    kept = leader == np.arange(len(counts))
+    classes = (np.cumsum(kept) - 1)[leader]
+    entries = kept.repeat(counts)
+    return (
+        _LumpedChannel(
+            channel.rows[entries],
+            classes[channel.cols[entries]],
+            counts[kept],
+            channel.values[entries],
+            channel.base[kept],
+            np.bincount(classes, channel.sizes),
+            channel.log_sizes,
+        ),
+        classes,
     )
 
 

@@ -195,6 +195,30 @@ def mary_feedback_capacity(m) -> MaryFeedbackSolution:
     return MaryFeedbackSolution(m, g, d, _mary_rate(m, g, d), mary_stationary_distribution(m, g, d))
 
 
+def mary_horizon_values(m, n):
+    """Exact n-use feedback values of MaryPost(m) in bits: (from a state below m, from state m).
+
+    n steps of the Bellman operator of mary_feedback_capacity from V = 0,
+    each at its maximizers.  With d = V(m) - V(0) and u = 2^d, state m
+    takes delta = 1/(1 + u) and gains h(delta) + (1 - delta) d over V(0);
+    a state below m takes gamma = max(0, (4u - m) / (4u + m)) and gains
+    lead(gamma) + (1 + gamma) d / 2.  The steps run on V(0) and d, O(n)
+    scalar operations, since 2^V overflows at m = 16, n = 1000.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    base, d = 0.0, 0.0
+    for _ in range(n):
+        u = 2.0**d
+        g = max(0.0, (4.0 * u - m) / (4.0 * u + m))
+        delta = 1.0 / (1.0 + u)
+        below = _mary_lead(m, g) + 0.5 * (1.0 + g) * d
+        base, d = base + below, binary_entropy(delta) + (1.0 - delta) * d - below
+    return base, base + d
+
+
 def mary_scheme_rate(m) -> float:
     """Rate of the simple error-free relaying scheme: log2(m) / 3."""
     if m < 1:

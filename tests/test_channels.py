@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from postcap import channels
 from postcap import (
     CustomPost,
     MaryPost,
@@ -24,6 +25,7 @@ from postcap.channels import (
     _forward_pass,
     _inverse_class_matrices,
     _lumped_channel,
+    _merge_equal_columns,
     _vector_levels,
 )
 from postcap.closed_form import mary_state_policy
@@ -269,6 +271,84 @@ def test_lumped_channel_counts_at_n6():
     ):
         lumped = _lumped_channel(MaryPost(m), n, s0)
         assert (len(lumped.sizes), len(lumped.values)) == (orbits, nonzeros)
+
+
+def _column_classes(lumped):
+    """Class of every input orbit by its sorted (row, value) nonzeros, numbered by lowest orbit."""
+    columns = [
+        tuple(sorted(zip(lumped.rows[lumped.cols == x].tolist(), lumped.values[lumped.cols == x].tolist())))
+        for x in range(len(lumped.counts))
+    ]
+    number = {}
+    return np.array([number.setdefault(column, len(number)) for column in columns])
+
+
+def _check_merge(lumped, merged, classes):
+    """The merge's classes are the exact column classes, each kept as its lowest orbit."""
+    assert np.array_equal(classes, _column_classes(lumped))
+    lowest = np.unique(classes, return_index=True)[1]
+    assert np.array_equal(merged.counts, lumped.counts[lowest])
+    assert np.array_equal(merged.base, lumped.base[lowest])
+    assert np.array_equal(merged.sizes, np.bincount(classes, lumped.sizes))
+    assert np.array_equal(merged.cols, np.repeat(np.arange(len(lowest)), merged.counts))
+    kept = np.isin(lumped.cols, lowest)
+    assert np.array_equal(merged.rows, lumped.rows[kept])
+    assert np.array_equal(merged.values, lumped.values[kept])
+    assert merged.log_sizes is lumped.log_sizes
+
+
+def test_merged_lumped_channel_counts():
+    # from state m every input below m gives output m, so many orbits share a column
+    for n, s0, orbits, classes, nonzeros in ((6, 4, 2990, 662, 3275), (6, 0, 2990, 2223, 15017)):
+        lumped = _lumped_channel(MaryPost(4), n, s0)
+        merged, of_orbit = _merge_equal_columns(lumped)
+        assert len(lumped.counts) == len(of_orbit) == orbits
+        assert (len(merged.counts), len(merged.values)) == (classes, nonzeros)
+        assert merged.sizes.sum() == 5**n
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_merge_classes_are_the_exact_column_classes(m, monkeypatch):
+    # the digest only groups candidates: with every digest equal, entry-by-entry
+    # confirmation alone must find the same classes
+    for n in (1, 2, 3, 4):
+        for s0 in (0, m):
+            lumped = _lumped_channel(MaryPost(m), n, s0)
+            _check_merge(lumped, *_merge_equal_columns(lumped))
+            with monkeypatch.context() as patch:
+                patch.setattr(channels, "_column_digests", lambda channel, starts: np.zeros(len(starts), np.uint64))
+                _check_merge(lumped, *_merge_equal_columns(lumped))
+
+
+def test_merge_compares_multisets_of_row_value_pairs(monkeypatch):
+    # orbits 0 and 1 store one multiset in two orders; orbits 2 and 3 share
+    # their rows and their values but not their pairs; orbits 4 and 5 share
+    # their summed column but not their counts
+    rows = np.array([1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0])
+    values = np.array([0.5, 0.5, 0.5, 0.5, 0.25, 0.75, 0.75, 0.25, 1.0, 0.5, 0.5])
+    counts = np.array([2, 2, 2, 2, 1, 2])
+    cols = np.repeat(np.arange(6), counts)
+    lumped = channels._LumpedChannel(rows, cols, counts, values, np.arange(6.0), np.ones(6), np.zeros(2))
+    for digests in (channels._column_digests, lambda channel, starts: np.zeros(len(starts), np.uint64)):
+        monkeypatch.setattr(channels, "_column_digests", digests)
+        merged, classes = _merge_equal_columns(lumped)
+        assert classes.tolist() == [0, 0, 1, 2, 3, 4]
+        assert merged.rows.tolist() == [1, 0, 0, 1, 0, 1, 0, 0, 0]
+        assert merged.sizes.tolist() == [2, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_merged_divergences_are_the_orbits(m):
+    # at a class-constant law every orbit has its class's divergence
+    rng = np.random.default_rng(29)
+    for n in (2, 4, 6):
+        for s0 in (0, m):
+            lumped = _lumped_channel(MaryPost(m), n, s0)
+            merged, classes = _merge_equal_columns(lumped)
+            masses = rng.dirichlet(np.ones(len(merged.sizes)))
+            orbit_masses = masses[classes] * lumped.sizes / merged.sizes[classes]
+            want = lumped.divergences(orbit_masses)
+            assert np.abs(merged.divergences(masses)[classes] - want).max() <= 1e-12
 
 
 def test_lumped_size_check():

@@ -10,9 +10,11 @@ import warnings
 from signal import SIGKILL
 
 import pytest
+from pytest import approx
 
 import postcap.cli
 from postcap.cli import _map_over_cpus, main
+from postcap.closed_form import mary_feedback_capacity, mary_horizon_values
 from postcap.optimize import FeedbackReport
 
 
@@ -43,19 +45,39 @@ def test_capacity_numeric_check(capsys):
 
 @pytest.mark.parametrize("m, n, s0", [(1, 3, 0), (2, 3, 0), (1, 3, 1), (3, 2, 0)])
 def test_mary_numeric_check_allows_the_horizon_slack(m, n, s0, capsys):
-    # the n-use value per use is within span(h) / n of the capacity, not equal to it
+    # the n-use value per use differs from the capacity by up to span(h) / n;
+    # the check compares it with the exact n-use value instead, to --tol
     argv = ["capacity", "mary", "--m", str(m), "--n", str(n), "--s0", str(s0), "--numeric-check"]
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    assert "horizon_slack:" in out and "certified: True" in out
+    assert "certified: True" in out and "horizon_slack" not in out
+    gap = float(out.split("numeric_gap: ")[1].split()[0])
+    assert gap <= 1e-12
+    value = float(out.split("numeric_value_bits_per_use: ")[1].split()[0])
+    assert abs(value - mary_feedback_capacity(m).capacity_bits) > 1e-2
 
 
 def test_numeric_check_slack_is_zero_where_h_is_flat(capsys):
+    # h is flat at m = 4, so the exact n-use value is n C; --tol 0 fails even there
+    assert mary_horizon_values(4, 3)[0] == approx(3 * mary_feedback_capacity(4).capacity_bits, abs=1e-15)
     assert main(["capacity", "mary", "--m", "4", "--n", "3", "--tol", "0", "--numeric-check"]) == 1
-    assert "horizon_slack: 0.000e+00" in capsys.readouterr().out
+    assert "numeric_gap: 0.000e+00" in capsys.readouterr().out
     assert main(["capacity", "post-alpha", "--alpha", "0.5", "--n", "2", "--numeric-check"]) == 0
-    assert "horizon_slack: 0.000e+00" in capsys.readouterr().out
+    assert "horizon_slack" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m, n", [(1023, 1), (255, 16), (16, 1000)])
+def test_mary_numeric_check_holds_to_tol_at_any_m_and_n(m, n, monkeypatch, capsys):
+    # the span(h) / n slack was 3.236 bits per use at m = 1023, n = 1; the
+    # check now fails a value 1e-3 bits per use off the exact one
+    argv = ["capacity", "mary", "--m", str(m), "--n", str(n), "--numeric-check"]
+    assert main(argv) == 0
+    assert "certified: True" in capsys.readouterr().out
+    below, top = mary_horizon_values(m, n)
+    monkeypatch.setattr(postcap.cli, "mary_horizon_values", lambda m, n: (below + 1e-3 * n, top))
+    assert main(argv) == 1
+    assert "certified: True" in capsys.readouterr().out
 
 
 def test_capacity_rejects_bad_parameter():
@@ -627,7 +649,7 @@ def test_feedback_checks_build_no_kernel_and_no_dense_channel(monkeypatch, capsy
         ["capacity", "post-ab", "--a", "0.9", "--b", "0.7", "--numeric-check", "--n", "11"],
         ["capacity", "mary", "--m", "4", "--numeric-check", "--n", "5"],
         ["verify", "kkt", "--family", "post-alpha", "--alpha", "0.3", "--n", "11"],
-        # the horizon slack is 5.3e-5 here, below the default --tol
+        # checked against the exact value after 10,000 Bellman steps
         ["capacity", "mary", "--m", "1", "--numeric-check", "--n", "10000"],
     ],
 )

@@ -35,6 +35,7 @@ from postcap import (
 )
 from postcap import channels, optimize
 from postcap.channels import DENSE_ENTRY_CAP, SingularChannelError
+from postcap.closed_form import mary_horizon_values
 from postcap.construction import _input_levels
 from postcap.probability import LN2
 
@@ -287,15 +288,24 @@ def test_stages_below_the_det_guard_iterate(monkeypatch):
 
 def test_warm_started_stages_match_cold_start_oracle(monkeypatch):
     # the oracle starts every stage from the uniform law: Blahut-Arimoto, then
-    # Newton; the solver starts square invertible stages from their closed form
-    cold, calls = optimize._stage_law, []
+    # Newton; the solver starts square invertible stages from their closed form,
+    # and a stage it reuses (_repeats) is recorded as a warm one with the values
+    # of the stage solved last, the values it reuses
+    cold, repeats, calls = optimize._stage_law, optimize._repeats, []
 
     def recording(mat, bonus, max_iterations, start=None, inverse=None):
         law, value, d = cold(mat, bonus, max_iterations, start, inverse)
         calls.append((start is not None, value))
         return law, value, d
 
+    def recording_reuse(lower, solved_at, solved):
+        reused = repeats(lower, solved_at, solved)
+        if reused:
+            calls.extend((True, value) for _, value in calls[-len(solved) :])
+        return reused
+
     monkeypatch.setattr(optimize, "_stage_law", recording)
+    monkeypatch.setattr(optimize, "_repeats", recording_reuse)
     rng = np.random.default_rng(2)
     cases = [(_random_custom(rng), 6, 0) for _ in range(300)]
     cases += [(MaryPost(4), 3, s0) for s0 in range(5)] + STAGE_EDGE_CASES
@@ -340,6 +350,17 @@ def test_feedback_stages_equal_the_two_class_recursion(m):
             assert abs(value - want[s0]) / n <= 1e-12, (n, s0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16, 1023])
+def test_closed_form_horizon_values_equal_the_two_class_recursion(m):
+    # the closed form steps the Bellman operator at its maximizers, this
+    # test's recursion at its log-sum values
+    for n in (1, 2, 3, 10, 1000):
+        want = _two_class_values(m, n)
+        below, top = mary_horizon_values(m, n)
+        assert abs(below - want[0]) / n <= 1e-12, n
+        assert abs(top - want[m]) / n <= 1e-12, n
+
+
 def test_long_horizon_stages_certify_at_their_closed_form(monkeypatch):
     # relative stage values keep every stationary start within STAGE_GAP:
     # with absolute values near 1e4 nats, this solve took 295k Newton steps
@@ -351,6 +372,33 @@ def test_long_horizon_stages_certify_at_their_closed_form(monkeypatch):
     assert report.passed
     assert laws.shape == (40000, 2, 2)
     assert value / 40000 == approx(post_alpha_capacity(0.3).capacity_bits, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, reuses",
+    [
+        (PostAlpha(0.3), True),
+        # its relative values flicker in their last bit
+        (PostAB(0.9, 0.7), False),
+        (MaryPost(1), True),
+        (MaryPost(4), True),
+        (TWO_INPUT_CUSTOM, False),
+    ],
+)
+def test_stages_whose_values_repeat_reuse_their_solves_bit_for_bit(spec, reuses, monkeypatch):
+    # relative values that repeat bit for bit reuse the last stage's certified
+    # solves: the laws, value and report are those of solving every stage
+    n, calls, stage_law = 2000, [], optimize._stage_law
+    monkeypatch.setattr(optimize, "_stage_law", lambda *args: calls.append(1) or stage_law(*args))
+    laws, value, report = optimize._feedback_stages(spec, n, 0, TIGHT)
+    reused = len(spec.class_matrices) * n - len(calls)
+    monkeypatch.setattr(optimize, "_repeats", lambda *args: False)
+    want_laws, want_value, want_report = optimize._feedback_stages(spec, n, 0, TIGHT)
+    if reuses:
+        assert reused > 0
+    assert np.array_equal(laws, want_laws)
+    assert value == want_value
+    assert report == want_report
 
 
 def test_feedback_stages_size_guard_admits_exactly_the_cap(monkeypatch):
@@ -683,6 +731,18 @@ def test_upper_bound_on_orbits_matches_sequence_solves():
             want = max(maximize_mi_nofeedback(MaryPost(m), n, s0, cfg)[1] for s0 in (0, m))
             assert residual <= cfg.kkt_tolerance
             assert abs(value - want / n) <= cfg.kkt_tolerance / (n * math.log(2.0))
+
+
+@pytest.mark.parametrize("initialization", ["uniform", "random"])
+def test_upper_bound_on_classes_matches_the_orbit_race(initialization, monkeypatch):
+    # merging orbits with equal columns keeps each class's mass ratio, so
+    # the race on classes follows the race on orbits up to rounding
+    cfg = OptimizerConfig(max_iterations=50000, kkt_tolerance=1e-7, initialization=initialization, seed=5)
+    cases = [(m, n) for m in (2, 3, 4, 8, 16) for n in range(1, 7)]
+    on_classes = [upper_bound(MaryPost(m), n, cfg)[0] for m, n in cases]
+    monkeypatch.setattr(optimize, "_merge_equal_columns", lambda orbits: (orbits, np.arange(len(orbits.sizes))))
+    on_orbits = [upper_bound(MaryPost(m), n, cfg)[0] for m, n in cases]
+    assert np.abs(np.array(on_classes) - on_orbits).max() <= 1e-12
 
 
 def test_upper_bound_random_start_runs_on_orbits():
