@@ -206,7 +206,8 @@ def _block_matrix(spec, n, s0):
     and only s0's class is built at the top level.  A result above
     DENSE_ENTRY_CAP entries raises before anything is allocated.
     """
-    classes, below = np.unique(spec.state_classes, return_inverse=True)
+    classes = initial_states(spec)
+    below = np.searchsorted(classes, spec.state_classes)
     mats = np.stack([spec.class_matrices[c] for c in classes])
     k, x = mats.shape[1:]
     _check_entries("dense matrix", k**n * x**n)
@@ -488,7 +489,7 @@ class _LumpedChannel:
         return self.base - np.bincount(self.cols, self.values * ln_q[self.rows], minlength=len(self.sizes))
 
 
-def _lumped_channel(spec, n, s0, checked=None):
+def _lumped_channel(spec, n, s0):
     """The _LumpedChannel of (spec, n, s0), built position by position after _check_lumped_size.
 
     Each (representative prefix, output prefix) pair with positive
@@ -500,10 +501,8 @@ def _lumped_channel(spec, n, s0, checked=None):
     then labels, so code order is the representatives' lexicographic
     order; every representative is the input of some pair, so ranking
     the input codes numbers the orbits and finds each output's size.
-    checked is what _check_lumped_size(spec, n, s0) returned, if the
-    caller has run it; otherwise it is run here.
     """
-    core, start, fixed, (key, choice, out, weight, new) = checked or _check_lumped_size(spec, n, s0)
+    core, start, fixed, (key, choice, out, weight, new) = _check_lumped_size(spec, n, s0)
     size, n_fixed, most = core.input_size, len(fixed), len(core.free_labels)
     out = out.astype(np.int16)
     count = np.bincount(key, minlength=(most + 1) * size)
@@ -558,72 +557,37 @@ def _lumped_channel(spec, n, s0, checked=None):
     )
 
 
-def _equal_entries(rows, values, starts, counts, orbits, leaders):
-    """Whether each orbit's nonzeros equal its leader's, place by place.
-
-    rows and values hold every orbit's nonzeros in one canonical order,
-    orbit X's at starts[X] onwards; each orbit has as many as its leader.
-    """
-    same = orbits == leaders
-    orbits, leaders = orbits[~same], leaders[~same]
-    if len(orbits):
-        c = counts[orbits]
-        ends = np.cumsum(c)
-        at = np.repeat(starts[orbits] - ends + c, c) + np.arange(ends[-1])
-        other = np.repeat(starts[leaders] - starts[orbits], c)
-        other += at
-        differ = rows[at] != rows[other]
-        differ |= values[at] != values[other]
-        del at, other
-        same[~same] = ~np.logical_or.reduceat(differ, ends - c)
-    return same
-
-
-def _column_digests(channel, starts):
-    """Per input orbit, a wrapping sum of one mixed 64-bit word per (row, value) nonzero."""
-    words = channel.rows.astype(np.uint64)
-    words *= np.uint64(0x9E3779B97F4A7C15)
-    words ^= channel.values.view(np.uint64)
-    words *= np.uint64(0xBF58476D1CE4E5B9)
-    words ^= words >> np.uint64(31)
-    return np.add.reduceat(words, starts)
-
-
 def _merge_equal_columns(channel):
     """(The _LumpedChannel on classes of input orbits with equal columns, the class of each orbit).
 
     A class is a set of orbits whose (row, value) nonzeros are equal as
     multisets, so every sequence of the class has the same output law
-    and, at any law, the same divergence.  A 64-bit digest of each
-    orbit's nonzeros, a wrapping sum and so independent of their order,
-    only groups candidates; each candidate is confirmed entry by entry
-    against its group's lowest orbit, in the order (row, value), and the
-    orbits that differ from it group again among themselves.  A class
-    keeps its lowest orbit's nonzeros in their stored order and its
-    base, and the summed sizes of its orbits.  Classes are numbered in
-    the order of their lowest orbits.  No array holds more entries than
-    the channel has nonzeros, and the sorted copies of the nonzeros are
-    freed before the merged channel is built.
+    and, at any law, the same divergence.  The orbits with c nonzeros
+    are gathered into one block, a row of c pairs per orbit; each row's
+    pairs are sorted, the rows are sorted lexicographically, and a class
+    starts wherever a row differs from the one before.  The sort is
+    stable, so each class's first orbit is its lowest.  A class keeps its
+    lowest orbit's nonzeros in their stored order and its base, and the
+    summed sizes of its orbits.  Classes are numbered in the order of
+    their lowest orbits.  No array holds more entries than the channel
+    has nonzeros.
     """
     counts = channel.counts
     starts = np.cumsum(counts) - counts
-    digest = _column_digests(channel, starts)
-    order = np.lexsort((channel.values, channel.rows, channel.cols))
-    rows = channel.rows.astype(np.int32)[order]
-    values = channel.values[order]
-    del order
-    # orbits with equal counts and digests side by side, the lowest first
-    pending = np.lexsort((digest, counts))
     leader = np.arange(len(counts))
-    while len(pending):
-        c, d = counts[pending], digest[pending]
-        first = np.ones(len(pending), bool)
-        first[1:] = (c[1:] != c[:-1]) | (d[1:] != d[:-1])
-        leaders = pending[first][np.cumsum(first) - 1]
-        same = _equal_entries(rows, values, starts, counts, pending, leaders)
-        leader[pending[same]] = leaders[same]
-        pending = pending[~same]
-    del rows, values
+    for c in np.flatnonzero(np.bincount(counts)):
+        orbits = np.flatnonzero(counts == c)
+        at = starts[orbits, None] + np.arange(c)
+        rows, values = channel.rows[at], channel.values[at]
+        del at
+        order = np.lexsort((values, rows), axis=1)
+        rows = np.take_along_axis(rows, order, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        order = np.lexsort((*values.T, *rows.T))
+        rows, values, orbits = rows[order], values[order], orbits[order]
+        new = np.ones(len(orbits), bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1) | (values[1:] != values[:-1]).any(axis=1)
+        leader[orbits] = orbits[new][np.cumsum(new) - 1]
     kept = leader == np.arange(len(counts))
     classes = (np.cumsum(kept) - 1)[leader]
     entries = kept.repeat(counts)

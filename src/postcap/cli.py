@@ -56,7 +56,6 @@ from .construction import _input_levels, _open_loop_input, inequality_sweep
 from .directed_info import concavity_probe
 from .optimize import (
     OptimizerConfig,
-    _check_upper_bound_size,
     _feedback_stages,
     open_loop_match,
     upper_bound,
@@ -231,12 +230,11 @@ def _table1_rows(args, cfg):
         ms.append(m)
         m *= 2
     bounded = [m for m in ms if m <= args.upper_bound_max_m]
-    # the largest m raises here if it is too large, before any row is
-    # solved; its size check is handed to its solve
     _check_entries("stationary law", max(ms, default=0) + 1)
-    checked = {bounded[-1]: _check_upper_bound_size(MaryPost(bounded[-1]), args.n)} if bounded else {}
-
-    bounds = _map_over_cpus(lambda m: upper_bound(MaryPost(m), args.n, cfg, checked.get(m)), bounded[::-1])
+    # the caller's first row is the largest m, whose solve checks its
+    # channels' sizes before its first step: an oversized table raises
+    # there, and _map_over_cpus kills and reaps the children
+    bounds = _map_over_cpus(lambda m: upper_bound(MaryPost(m), args.n, cfg), bounded[::-1])
     return [
         (m, *bounds.get(m, (None, None)), mary_scheme_rate(m), mary_feedback_capacity(m).capacity_bits)
         for m in ms

@@ -14,7 +14,9 @@ and never forms a per-sequence pmf.  Orbits with equal columns are first
 merged into classes, and the loop runs on class masses.  The merged
 channel keeps one column per class, its nonzeros in class order and the
 class sizes folded into its entropy term, so a pass on classes is one
-np.repeat of the class law, two np.bincount products and one log.  Both
+np.repeat of the class law, two np.bincount products and one log.  The
+lumped channel and the channel passes each check their own size where
+they are built, so upper_bound raises before its first step.  Both
 solvers run the same Blahut-Arimoto update, p exp(D - max D)
 renormalized; the open-loop loop over-relaxes it (Matz & Duhamel, ITW
 2004) and falls back to the plain step whenever an over-relaxed one
@@ -48,8 +50,6 @@ from .channels import (
     _channel_steps,
     _check_causal_kernel,
     _check_entries,
-    _check_lumped_size,
-    _check_pass_size,
     _check_start,
     _class_inverse,
     _divergences,
@@ -495,18 +495,18 @@ def _start_law(weights, cfg, classes=None):
     return weights / weights.sum()
 
 
-def _open_loop_iterates(spec, n, s0, cfg, lumped):
+def _open_loop_iterates(spec, n, s0, cfg, on_classes):
     """_over_relaxed_ba of I(X^n; Y^n | s0) on sequence pmfs, or on the class masses of the lumped channel.
 
-    lumped is None for sequence pmfs, else the return of
-    _check_lumped_size(spec, n, s0): the lumped channel's input orbits
-    with equal columns are then merged into classes before the first
-    step (see upper_bound).  The start is the uniform sequence law (orbit
-    masses proportional to the orbit sizes), times seeded draws per orbit
-    under cfg.initialization "random", summed per class.
+    Either channel checks its own size as it is built, before the first
+    step.  With on_classes, the lumped channel's input orbits with equal
+    columns are merged into classes (see upper_bound).  The start is the
+    uniform sequence law (orbit masses proportional to the orbit sizes),
+    times seeded draws per orbit under cfg.initialization "random",
+    summed per class.
     """
-    if lumped is not None:
-        orbits = _lumped_channel(spec, n, s0, lumped)
+    if on_classes:
+        orbits = _lumped_channel(spec, n, s0)
         channel, classes = _merge_equal_columns(orbits)
         p = _start_law(orbits.sizes, cfg, classes)
         return _over_relaxed_ba(channel.divergences, p, cfg)
@@ -527,22 +527,12 @@ def maximize_mi_nofeedback(spec, n, s0, cfg: OptimizerConfig = None):
     T-IT 18(1), 1972).
     """
     cfg = cfg or OptimizerConfig()
-    for pmf, value, top in _open_loop_iterates(spec, n, s0, cfg, lumped=None):
+    for pmf, value, top in _open_loop_iterates(spec, n, s0, cfg, on_classes=False):
         pass
     return SequencePmf(input_alphabet(spec), n, pmf), value / LN2, top - value
 
 
-def _check_upper_bound_size(spec, n):
-    """Raise ValueError, allocating little, unless every solve of upper_bound(spec, n) fits.
-
-    Returns, per initial state, _check_lumped_size's return for a spec
-    with free labels, else None.
-    """
-    check = _check_lumped_size if spec.free_labels else _check_pass_size
-    return {s0: check(spec, n, s0) for s0 in initial_states(spec)}
-
-
-def upper_bound(spec, n, cfg: OptimizerConfig = None, checked=None):
+def upper_bound(spec, n, cfg: OptimizerConfig = None):
     """(best per-use mutual information over initial states in bits, width of its proven interval in nats).
 
     Each initial state's solve is maximize_mi_nofeedback's, except that
@@ -568,13 +558,11 @@ def upper_bound(spec, n, cfg: OptimizerConfig = None, checked=None):
     value is that of every solve run to the end.  The width is the
     largest last divergence over states minus the best value: the
     maximum is proven within value + width / (n ln 2) bits per use.
-    Every solve's size is checked before the first starts, unless the
-    caller passes what _check_upper_bound_size(spec, n) returned as
-    checked.
+    Every state's channel is checked and built before the first step.
     """
     cfg = cfg or OptimizerConfig()
-    checked = checked or _check_upper_bound_size(spec, n)
-    running = {s0: _open_loop_iterates(spec, n, s0, cfg, lumped) for s0, lumped in checked.items()}
+    on_classes = bool(spec.free_labels)
+    running = {s0: _open_loop_iterates(spec, n, s0, cfg, on_classes) for s0 in initial_states(spec)}
     last = {}  # per state, (value, top) of its last kept iterate
     while running:
         for s0, iterates in list(running.items()):

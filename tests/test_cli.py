@@ -296,13 +296,16 @@ def test_table1_check_fails_on_an_uncertified_upper_bound(monkeypatch, capsys):
 
 def test_table1_oversized_upper_bound_exits_2_before_solving(capsys):
     # the lumped channel of m = 16 at n = 9 exceeds the library's size cap;
-    # the rows below it must not be solved first
+    # the caller takes that row first and raises before its first step, so
+    # the children forked for the rows below are killed before they finish
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         main(["table1", "--n", "9", "--max-m", "16", "--upper-bound-max-m", "16"])
     assert exc.value.code == 2
     assert time.perf_counter() - start < 2.0
     assert "lumped channel would hold 6729540 entries (cap" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_table1_oversized_horizon_exits_2_without_building_it(capsys):
@@ -361,8 +364,8 @@ def test_oversized_request_exits_2_before_allocating(argv, capsys):
 
 
 def test_table1_checks_each_lumped_channel_once(monkeypatch, capsys):
-    # the size check before the rows is the one the largest m's solve uses;
-    # one CPU, so that every call is made in this process
+    # each lumped channel checks its own size where it is built, and nothing
+    # else checks it again; one CPU, so that every call is made in this process
     calls = []
     check = postcap.channels._check_lumped_size
 
@@ -371,7 +374,6 @@ def test_table1_checks_each_lumped_channel_once(monkeypatch, capsys):
         return check(spec, n, s0)
 
     monkeypatch.setattr(postcap.channels, "_check_lumped_size", counted)
-    monkeypatch.setattr(postcap.optimize, "_check_lumped_size", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["table1", "--n", "3", "--max-m", "4", "--upper-bound-max-m", "4"]) == 0
     assert sorted(calls) == [(2, 3, 0), (2, 3, 2), (4, 3, 0), (4, 3, 4)]
@@ -482,13 +484,13 @@ def test_table1_solves_the_rows_of_a_child_killed_mid_row(child_signal, monkeypa
     wait, signal = child_signal
     parent, solve = os.getpid(), postcap.cli.upper_bound
 
-    def upper_bound(spec, n, cfg, checked):
+    def upper_bound(spec, n, cfg):
         if os.getpid() != parent:
             signal()
             os.kill(os.getpid(), SIGKILL)
         elif spec.m == 4:
             wait()
-        return solve(spec, n, cfg, checked)
+        return solve(spec, n, cfg)
 
     monkeypatch.setattr(postcap.cli, "upper_bound", upper_bound)
     out = tmp_path / "table.csv"

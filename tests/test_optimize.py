@@ -638,8 +638,8 @@ def test_open_loop_solver_is_monotone_and_certifies_where_plain_ba_does(data):
 def _kept_iterates(spec, n, cfg):
     """(value, largest divergence) in nats of every kept iterate, per start state solved alone."""
     return [
-        [(value, top) for _, value, top in optimize._open_loop_iterates(spec, n, s0, cfg, lumped)]
-        for s0, lumped in optimize._check_upper_bound_size(spec, n).items()
+        [(value, top) for _, value, top in optimize._open_loop_iterates(spec, n, s0, cfg, bool(spec.free_labels))]
+        for s0 in channels.initial_states(spec)
     ]
 
 
@@ -760,15 +760,25 @@ def test_upper_bound_random_start_runs_on_orbits():
 
 
 def test_upper_bound_size_check_follows_the_solve_path():
-    # passes for a spec without free labels, the lumped channel otherwise
-    optimize._check_upper_bound_size(MaryPost(1), 20)
-    with pytest.raises(ValueError, match="channel pass"):
-        optimize._check_upper_bound_size(MaryPost(1), 21)
-    optimize._check_upper_bound_size(MaryPost(16), 7)
-    with pytest.raises(ValueError, match="lumped channel's orbit walk"):
-        optimize._check_upper_bound_size(MaryPost(16), 8)
-    with pytest.raises(ValueError, match="channel pass"):
-        optimize._check_upper_bound_size(PostAlpha(0.5), 21)
+    # passes for a spec without free labels, the lumped channel otherwise;
+    # one horizon less fits
+    for s0 in (0, 1):
+        channels._check_pass_size(MaryPost(1), 20, s0)
+    for s0 in (0, 16):
+        channels._check_lumped_size(MaryPost(16), 7, s0)
+    for spec, n, message in (
+        (MaryPost(1), 21, "channel pass"),
+        (MaryPost(16), 8, "lumped channel's orbit walk"),
+        (PostAlpha(0.5), 21, "channel pass"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                upper_bound(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize(
